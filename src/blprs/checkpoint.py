@@ -15,13 +15,12 @@ round-trip reproduces every prediction bit-exactly.
 """
 from __future__ import annotations
 
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .data import LabelMap
+from .data import LabelMap, _atomic_write
 from .layers import LayerState
 from .network import Network, NetworkConfig
 
@@ -77,11 +76,7 @@ def save_checkpoint(net: Network, labels: LabelMap, path) -> None:
         encoded = label.encode("utf-8")
         parts.append(struct.pack("<I", len(encoded)))
         parts.append(encoded)
-
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(b"".join(parts))
-    os.replace(tmp, path)
+    _atomic_write(path, b"".join(parts))
 
 
 class _Reader:
@@ -131,54 +126,45 @@ def load_checkpoint(path):
         dropout_rate=dropout,
     )
     try:
-        flatten = config.flatten_size()
+        shapes = config.param_shapes()
+        config.layer_specs()
     except ValueError as exc:
         raise ShapeMismatchError(f"{path}: config describes no valid network: {exc}")
-    expected_shapes = [
-        (m1, in_c, k, k),
-        (m2, m1, k, k),
-        (units, flatten),
-        (classes, units),
-    ]
-    expected_biases = [m1, m2, units, classes]
 
     layer_count = r.u32()
-    if layer_count != len(expected_shapes):
+    expected_count = sum(shape is not None for shape in shapes)
+    if layer_count != expected_count:
         raise ShapeMismatchError(
-            f"{path}: config implies {len(expected_shapes)} parametric layers, "
+            f"{path}: config implies {expected_count} parametric layers, "
             f"file declares {layer_count}"
         )
     states = []
-    for expected_w, expected_b in zip(expected_shapes, expected_biases):
+    for shape in shapes:
+        if shape is None:
+            states.append(None)
+            continue
         ndim = r.u32()
         dims = tuple(r.u32() for _ in range(ndim))
-        if dims != expected_w:
+        if dims != shape:
             raise ShapeMismatchError(
                 f"{path}: weight shape {dims} does not match config-implied "
-                f"{expected_w}"
+                f"{shape}"
             )
         weights = r.floats(int(np.prod(dims))).reshape(dims)
         bias_count = r.u32()
-        if bias_count != expected_b:
+        if bias_count != shape[0]:
             raise ShapeMismatchError(
                 f"{path}: bias count {bias_count} does not match config-implied "
-                f"{expected_b}"
+                f"{shape[0]}"
             )
         biases = r.floats(bias_count)
         states.append(LayerState(weights=weights, biases=biases))
 
-    label_count = r.u32()
-    if label_count != 16:
-        raise ShapeMismatchError(f"{path}: expected 16 labels, got {label_count}")
-    label_values = []
-    for _ in range(label_count):
-        length = r.u32()
-        label_values.append(r.take(length).decode("utf-8"))
+    label_bytes = [r.take(r.u32()) for _ in range(r.u32())]
     if r.pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - r.pos} trailing bytes")
-
-    net = Network(
-        config=config,
-        states=[states[0], None, states[1], None, states[2], states[3]],
-    )
-    return net, LabelMap(tuple(label_values))
+    try:
+        labels = LabelMap(tuple(b.decode("utf-8") for b in label_bytes))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: invalid label map: {exc}") from None
+    return Network(config=config, states=states), labels

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -12,6 +11,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     LabelMap,
     SynthSpec,
+    _atomic_write,
     generate_synthetic,
     load_dataset_dir,
     normalize_image,
@@ -42,11 +42,7 @@ def export_curve_csv(report: TrainingReport, path) -> None:
         zip(report.per_epoch_error, report.per_epoch_seconds), start=1
     ):
         lines.append(f"{i},{_fmt(err)},{_fmt(sec)}")
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _read_labels_file(path) -> LabelMap:
@@ -69,12 +65,7 @@ def _cmd_train(args) -> int:
     config = NetworkConfig(dropout_rate=args.dropout)
     net = build_network(config, seed=args.seed)
     tc = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        dropout_rate=args.dropout,
-        seed=args.seed,
-        split_fraction=args.split,
+        epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch, seed=args.seed
     )
     net, report = train(net, train_set, tc)
     save_checkpoint(net, labels, args.out)
@@ -151,9 +142,7 @@ def _cmd_synth(args) -> int:
         pixels = np.rint(sample.image[0] * 255.0).astype(np.uint8)
         write_pgm(class_dir / f"{n:05d}.pgm", pixels)
     labels_payload = ("\n".join(labels.labels) + "\n").encode("utf-8")
-    tmp = out / "labels.txt.tmp"
-    tmp.write_bytes(labels_payload)
-    os.replace(tmp, out / "labels.txt")
+    _atomic_write(out / "labels.txt", labels_payload)
     print(f"wrote {len(dataset)} samples across {len(labels)} classes to {out}")
     return 0
 
@@ -213,9 +202,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-run_cli = main
 
 
 if __name__ == "__main__":

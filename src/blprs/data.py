@@ -64,7 +64,7 @@ class Sample:
                 f"got {self.image.shape}"
             )
         lo, hi = float(self.image.min()), float(self.image.max())
-        if lo < 0.0 or hi > 1.0:
+        if not 0.0 <= lo <= hi <= 1.0:
             raise ValueError(f"pixel values must lie in [0,1], got [{lo}, {hi}]")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 from typing import Optional
 
 import numpy as np
@@ -72,6 +73,18 @@ class NetworkConfig:
         c, h, w = self.shape_chain()[4]
         return c * h * w
 
+    def param_shapes(self) -> list[Optional[tuple]]:
+        """Per-layer weight shape, None for pooling; each bias count is shape[0]."""
+        k = self.kernel_size
+        return [
+            (self.conv1_maps, self.input_shape[0], k, k),
+            None,
+            (self.conv2_maps, self.conv1_maps, k, k),
+            None,
+            (self.hidden_units, self.flatten_size()),
+            (self.class_count, self.hidden_units),
+        ]
+
 
 @lru_cache(maxsize=None)
 def _specs_for(config: "NetworkConfig") -> tuple[LayerSpec, ...]:
@@ -99,26 +112,16 @@ class Network:
 def build_network(config: NetworkConfig, seed: int) -> Network:
     """Instantiate the network with uniform +/-sqrt(6/(fan_in+fan_out)) weights
     and zero biases, deterministically from the seed."""
-    shapes = config.shape_chain()
     rng = np.random.default_rng(seed)
-    k = config.kernel_size
     states: list[Optional[LayerState]] = []
-
-    def glorot(shape, fan_in, fan_out):
+    for shape in config.param_shapes():
+        if shape is None:
+            states.append(None)  # pooling has no trainables
+            continue
+        fan_in, fan_out = prod(shape[1:]), shape[0] * prod(shape[2:])
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape)
-
-    cin = config.input_shape[0]
-    for maps in (config.conv1_maps, config.conv2_maps):
-        w = glorot((maps, cin, k, k), cin * k * k, maps * k * k)
-        states.append(LayerState(weights=w, biases=np.zeros(maps)))
-        states.append(None)  # pooling has no trainables
-        cin = maps
-    fan_in = config.flatten_size()
-    for units in (config.hidden_units, config.class_count):
-        w = glorot((units, fan_in), fan_in, units)
-        states.append(LayerState(weights=w, biases=np.zeros(units)))
-        fan_in = units
+        w = rng.uniform(-limit, limit, size=shape)
+        states.append(LayerState(weights=w, biases=np.zeros(shape[0])))
     return Network(config=config, states=states)
 
 
@@ -135,6 +138,8 @@ def network_forward(
             f"expected input shape {tuple(net.config.input_shape)}, "
             f"got {image.shape}"
         )
+    if not np.isfinite(image).all():
+        raise ValueError("input image contains NaN or infinite values")
     traces = []
     out = image
     for spec, state in zip(net.config.layer_specs(), net.states):
@@ -153,11 +158,7 @@ def network_backward(
         raise ValueError(
             f"target shape {target.shape} does not match scores {scores_shape}"
         )
-    final = traces[-1]
-    scores = final.post_activation
-    if final.dropout_mask is not None:
-        scores = scores * final.dropout_mask
-    grad = scores - target
+    grad = traces[-1].post_activation - target
     specs = net.config.layer_specs()
     grads: list[Optional[LayerState]] = [None] * len(traces)
     for i in range(len(traces) - 1, -1, -1):
@@ -201,7 +202,6 @@ def count_parameters(config: NetworkConfig, convention: str) -> ParamCountReport
     k = config.kernel_size
     m1, m2 = config.conv1_maps, config.conv2_maps
     units, classes = config.hidden_units, config.class_count
-    cin = config.input_shape[0]
     if convention == PAPER:
         counts = [
             (k * k + 1) * m1,
@@ -213,12 +213,8 @@ def count_parameters(config: NetworkConfig, convention: str) -> ParamCountReport
         ]
     else:
         counts = [
-            (k * k * cin + 1) * m1,
-            0,
-            (k * k * m1 + 1) * m2,
-            0,
-            (config.flatten_size() + 1) * units,
-            (units + 1) * classes,
+            0 if shape is None else prod(shape) + shape[0]
+            for shape in config.param_shapes()
         ]
     ops = ("Convolution", "Max-Pooling", "Convolution", "Max-Pooling",
            "Fully Connected", "Fully Connected")

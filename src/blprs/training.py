@@ -22,9 +22,7 @@ class TrainConfig:
     epochs: int
     learning_rate: float = 1.0
     batch_size: int = 10
-    dropout_rate: float = 0.5
     seed: int = 42
-    split_fraction: float = 0.9
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -33,10 +31,6 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout rate must be in [0,1)")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError("split fraction must be in (0,1)")
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -134,6 +135,52 @@ class TestLoad:
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("rate", [1.0, float("nan")])
+    def test_stored_dropout_out_of_range(self, trained_net, tmp_path, rate):
+        path = tmp_path / "d.blpr"
+        save_checkpoint(trained_net, LabelMap(), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 4 + 1 + 32, rate)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ShapeMismatchError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_undecodable_label_names_file(self, trained_net, tmp_path):
+        path = tmp_path / "u.blpr"
+        save_checkpoint(trained_net, LabelMap(), path)
+        raw = bytearray(path.read_bytes())
+        raw[-1] = 0xFF  # last byte of the last UTF-8 label
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_wrong_label_count(self, trained_net, tmp_path):
+        path = tmp_path / "lc.blpr"
+        save_checkpoint(trained_net, LabelMap(), path)
+        raw = bytearray(path.read_bytes())
+        encoded = [label.encode("utf-8") for label in LabelMap().labels]
+        count_at = len(raw) - sum(4 + len(e) for e in encoded) - 4
+        struct.pack_into("<I", raw, count_at, 15)
+        path.write_bytes(bytes(raw[: -(4 + len(encoded[-1]))]))
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_every_bit_flip_in_tail_loads_or_raises_checkpoint_error(
+        self, trained_net, tmp_path
+    ):
+        path = tmp_path / "f.blpr"
+        save_checkpoint(trained_net, LabelMap(), path)
+        clean = path.read_bytes()
+        for pos in range(len(clean) - 60, len(clean)):
+            for bit in range(8):
+                raw = bytearray(clean)
+                raw[pos] ^= 1 << bit
+                path.write_bytes(bytes(raw))
+                try:
+                    load_checkpoint(path)
+                except CheckpointError:
+                    pass
 
     def test_errors_are_distinct_types(self):
         kinds = {BadMagicError, UnsupportedVersionError,

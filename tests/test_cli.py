@@ -75,6 +75,16 @@ class TestTrainCommand:
         assert 0.0 <= acc <= 100.0
         assert avg == pytest.approx(total / 4, rel=1e-12)
 
+    def test_invalid_dropout_fails_without_checkpoint(self, capsys, synth_dir, tmp_path):
+        model = tmp_path / "m.blpr"
+        code = main([
+            "train", "--data", str(synth_dir), "--epochs", "1",
+            "--dropout", "1.0", "--out", str(model),
+        ])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_missing_data_dir_fails_cleanly(self, capsys, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope"),
                      "--epochs", "1", "--out", str(tmp_path / "m.blpr")])

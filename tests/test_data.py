@@ -51,6 +51,10 @@ class TestSample:
         with pytest.raises(ValueError, match="0,1"):
             Sample(img, 0)
 
+    def test_nan_pixels_rejected(self):
+        with pytest.raises(ValueError, match="0,1"):
+            Sample(np.full((1, 32, 32), np.nan), 0)
+
     def test_dataset_validates_class_indices(self):
         with pytest.raises(ValueError, match="class index"):
             Dataset(samples=[Sample(np.zeros((1, 32, 32)), 16)], labels=LabelMap())

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from blprs.data import one_hot
+from blprs.checkpoint import save_checkpoint
+from blprs.data import LabelMap, one_hot
 from blprs.layers import EVAL, TRAIN
 from blprs.network import (
     PAPER,
@@ -78,6 +81,19 @@ class TestBuildNetwork:
             assert np.abs(s.weights).max() <= limit
             # uniform draws should actually approach the bound
             assert np.abs(s.weights).max() > 0.9 * limit
+
+    def test_checkpoint_of_seed_42_matches_golden_bytes(self, tmp_path):
+        # Guards the Glorot draw order and the checkpoint byte layout.
+        path = tmp_path / "golden.blpr"
+        save_checkpoint(build_network(NetworkConfig(), seed=42), LabelMap(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "49ac4c208c2b28da1de4a27cf9fe8060d46a6031d53890be7ad6b78e310a4bf6"
+        )
+
+    @pytest.mark.parametrize("rate", [1.0, -0.1, float("nan")])
+    def test_invalid_dropout_rejected_by_layer_specs(self, rate):
+        with pytest.raises(ValueError, match="dropout"):
+            NetworkConfig(dropout_rate=rate).layer_specs()
 
     def test_invalid_chain_rejected(self):
         # 8x8 input: 5x5 conv -> 4 -> pool 2 -> second 5x5 conv cannot fit
@@ -216,6 +232,14 @@ class TestPredict:
         cls, scores = predict(net, img)
         assert cls == int(np.argmax(scores))
         assert 0 <= cls < 16
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, bad):
+        net = build_network(NetworkConfig(), 23)
+        img = np.random.default_rng(9).random((1, 32, 32))
+        img[0, 5, 7] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            predict(net, img)
 
     def test_pure_function(self):
         net = build_network(NetworkConfig(), 22)

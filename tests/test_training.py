@@ -189,7 +189,7 @@ class TestTrain:
     def test_loss_decreases_on_learnable_set(self):
         ds = generate_synthetic(SynthSpec(per_class_count=6, seed=2), LabelMap())
         net = build_network(NetworkConfig(dropout_rate=0.0), 42)
-        tc = TrainConfig(epochs=45, batch_size=1, dropout_rate=0.0, seed=42)
+        tc = TrainConfig(epochs=45, batch_size=1, seed=42)
         _, report = train(net, ds, tc)
         e = report.per_epoch_error
         assert e[-1] < 0.5 * e[0]
@@ -211,8 +211,6 @@ class TestTrain:
             dict(epochs=0),
             dict(epochs=1, learning_rate=-1.0),
             dict(epochs=1, batch_size=0),
-            dict(epochs=1, dropout_rate=1.0),
-            dict(epochs=1, split_fraction=0.0),
         ):
             with pytest.raises(ValueError):
                 TrainConfig(**kwargs)
