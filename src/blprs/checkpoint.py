@@ -167,4 +167,8 @@ def load_checkpoint(path):
         labels = LabelMap(tuple(b.decode("utf-8") for b in label_bytes))
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid label map: {exc}") from None
+    if len(labels) != classes:
+        raise ShapeMismatchError(
+            f"{path}: config has {classes} classes but {len(labels)} labels"
+        )
     return Network(config=config, states=states), labels

@@ -135,8 +135,12 @@ def layer_backward(
     state: Optional[LayerState],
     trace: ForwardTrace,
     grad_out: Tensor,
-) -> tuple[Tensor, Optional[LayerState]]:
-    """Backpropagate through one layer; returns (grad_input, param grads)."""
+    input_grad: bool = True,
+) -> tuple[Optional[Tensor], Optional[LayerState]]:
+    """Backpropagate through one layer; returns (grad_input, param grads).
+
+    With ``input_grad=False`` a convolution skips grad_input and returns None.
+    """
     grad_out = as_tensor(grad_out)
     if grad_out.shape != trace.output_shape:
         raise ValueError(
@@ -150,10 +154,13 @@ def layer_backward(
         if trace.post_activation is None:
             raise ValueError("trace is missing the activation this spec requires")
         y = trace.post_activation
-        g = g * y * (1.0 - y)
+        g = g * y
+        g *= 1.0 - y
 
     if spec.kind == CONV:
-        grad_input, grad_w, grad_b = conv2d_backward(trace.input, state.weights, g)
+        grad_input, grad_w, grad_b = conv2d_backward(
+            trace.input, state.weights, g, input_grad=input_grad
+        )
         return grad_input, LayerState(weights=grad_w, biases=grad_b)
     if spec.kind == POOL:
         if trace.pool_mask is None:

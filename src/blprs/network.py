@@ -162,7 +162,10 @@ def network_backward(
     specs = net.config.layer_specs()
     grads: list[Optional[LayerState]] = [None] * len(traces)
     for i in range(len(traces) - 1, -1, -1):
-        grad, grads[i] = layer_backward(specs[i], net.states[i], traces[i], grad)
+        # Nothing reads the gradient w.r.t. the image, so C1 skips it.
+        grad, grads[i] = layer_backward(
+            specs[i], net.states[i], traces[i], grad, input_grad=i > 0
+        )
     return grads
 
 

@@ -9,7 +9,7 @@ sigmoid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -96,15 +96,19 @@ def conv2d_valid(x: Tensor, kernels: Tensor, biases: Sequence[float]) -> Tensor:
     b = np.asarray(biases, dtype=np.float64)
     if b.shape != (cout,):
         raise ValueError(f"need {cout} biases, got shape {b.shape}")
-    cols = _im2col(x, k)
-    out = kernels.reshape(cout, -1) @ cols + b[:, None]
+    out = kernels.reshape(cout, -1) @ _im2col(x, k)
+    out += b[:, None]
     return out.reshape(cout, h - k + 1, w - k + 1)
 
 
 def conv2d_backward(
-    x: Tensor, kernels: Tensor, grad_out: Tensor
-) -> tuple[Tensor, Tensor, np.ndarray]:
-    """Analytic gradients of conv2d_valid w.r.t. input, kernels and biases."""
+    x: Tensor, kernels: Tensor, grad_out: Tensor, input_grad: bool = True
+) -> tuple[Optional[Tensor], Tensor, np.ndarray]:
+    """Analytic gradients of conv2d_valid w.r.t. input, kernels and biases.
+
+    With ``input_grad=False`` the input gradient is skipped and returned as
+    None; the first layer of a network has no use for it.
+    """
     x = as_tensor(x)
     kernels = as_tensor(kernels)
     grad_out = as_tensor(grad_out)
@@ -118,18 +122,37 @@ def conv2d_backward(
     g = grad_out.reshape(cout, -1)
     grad_kernels = (g @ _im2col(x, k).T).reshape(kernels.shape)
     grad_biases = g.sum(axis=1)
+    if not input_grad:
+        return None, grad_kernels, grad_biases
     # Input gradient = full correlation of grad_out with spatially flipped
     # kernels, summed over output maps.
-    padded = np.pad(grad_out, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+    padded = np.zeros((cout, oh + 2 * (k - 1), ow + 2 * (k - 1)))
+    padded[:, k - 1 : k - 1 + oh, k - 1 : k - 1 + ow] = grad_out
     flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
     grad_input = (flipped @ _im2col(padded, k)).reshape(x.shape)
     return grad_input, grad_kernels, grad_biases
 
 
+def _quarters(x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """The four strided views of every 2x2 window, in row-major order."""
+    return x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
+
+
+def _takes(incumbent: Tensor, challenger: Tensor) -> np.ndarray:
+    """Where ``challenger`` displaces ``incumbent`` under argmax's rule: it is
+    strictly larger, or it is NaN and the incumbent is not.
+
+    Both cases are "the incumbent is a number and not >= the challenger";
+    on booleans ``a > b`` is ``a and not b``.
+    """
+    return (incumbent == incumbent) > (incumbent >= challenger)
+
+
 def maxpool2x2(x: Tensor) -> tuple[Tensor, ArgmaxMask]:
     """Disjoint 2x2 max-pooling: (C,H,W) -> (C,H/2,W/2) plus argmax mask.
 
-    Ties go to the first maximum in row-major order within the window.
+    Ties go to the first maximum in row-major order within the window; a NaN
+    counts as the maximum, so it reaches the output.
     """
     x = as_tensor(x)
     if x.ndim != 3:
@@ -137,17 +160,15 @@ def maxpool2x2(x: Tensor) -> tuple[Tensor, ArgmaxMask]:
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"spatial dims must be even for 2x2 pooling, got {h}x{w}")
-    windows = (
-        x.reshape(c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(c, h // 2, w // 2, 4)
-    )
-    idx = windows.argmax(axis=3)
-    out = np.take_along_axis(windows, idx[..., None], axis=3)[..., 0]
-    mask = ArgmaxMask(
-        rows=(idx // 2).astype(np.uint8), cols=(idx % 2).astype(np.uint8)
-    )
-    return out, mask
+    top_left, top_right, bottom_left, bottom_right = _quarters(x)
+    top_col = _takes(top_left, top_right)
+    top = np.where(top_col, top_right, top_left)
+    bottom_col = _takes(bottom_left, bottom_right)
+    bottom = np.where(bottom_col, bottom_right, bottom_left)
+    row = _takes(top, bottom)
+    out = np.where(row, bottom, top)
+    col = np.where(row, bottom_col, top_col)
+    return out, ArgmaxMask(rows=row.view(np.uint8), cols=col.view(np.uint8))
 
 
 def maxpool2x2_backward(
@@ -161,27 +182,32 @@ def maxpool2x2_backward(
             f"grad_out {grad_out.shape} / mask {mask.shape} do not match "
             f"input shape {(c, h, w)}"
         )
-    n = grad_out.size
-    offsets = mask.rows.astype(np.intp).ravel() * 2 + mask.cols.astype(np.intp).ravel()
-    scattered = np.zeros((n, 4), dtype=np.float64)
-    scattered[np.arange(n), offsets] = grad_out.ravel()
-    return (
-        scattered.reshape(c, h // 2, w // 2, 2, 2)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(c, h, w)
-    )
+    row = mask.rows.astype(bool, copy=False)
+    col = mask.cols.astype(bool, copy=False)
+    # np.where, not a product with the mask: the product writes -0.0 where a
+    # negative gradient meets a losing position.
+    top = np.where(row, 0.0, grad_out)
+    bottom = np.where(row, grad_out, 0.0)
+    grad_input = np.empty((c, h, w))
+    top_left, top_right, bottom_left, bottom_right = _quarters(grad_input)
+    top_left[...] = np.where(col, 0.0, top)
+    top_right[...] = np.where(col, top, 0.0)
+    bottom_left[...] = np.where(col, 0.0, bottom)
+    bottom_right[...] = np.where(col, bottom, 0.0)
+    return grad_input
 
 
 def sigmoid_map(t: Tensor) -> Tensor:
     """Elementwise logistic 1/(1+exp(-x)), computed in the stable branch form.
 
+    Both branches share e = exp(-|x|): 1/(1+e) for x >= 0 and e/(1+e) below.
     Output is clamped to the largest representable open interval (0,1) so
     saturated values never collapse to exactly 0 or 1.
     """
     t = as_tensor(t)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
+    e = np.abs(t)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(t >= 0, 1.0, e)
+    np.divide(out, e + 1.0, out=out)
+    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)

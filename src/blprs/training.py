@@ -27,8 +27,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(
+                f"learning rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
 
@@ -96,14 +98,6 @@ def sgd_update(net: Network, grads: list, learning_rate: float) -> Network:
     return Network(config=net.config, states=states)
 
 
-def _zero_like(states: list) -> list:
-    return [
-        None if s is None else LayerState(np.zeros_like(s.weights),
-                                          np.zeros_like(s.biases))
-        for s in states
-    ]
-
-
 def train(net: Network, train_set: Dataset, config: TrainConfig):
     """Run the SGD loop; returns the trained network and a TrainingReport."""
     n = len(train_set)
@@ -114,6 +108,11 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
     classes = net.config.class_count
     targets = [one_hot(s.class_index, classes) for s in train_set.samples]
     rng = np.random.default_rng(config.seed)
+    acc = [
+        None if s is None else LayerState(np.empty_like(s.weights),
+                                          np.empty_like(s.biases))
+        for s in net.states
+    ]
 
     per_epoch_error = []
     per_epoch_seconds = []
@@ -124,7 +123,10 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
         epoch_loss = 0.0
         for lo in range(0, n, config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            acc = _zero_like(net.states)
+            for a in acc:
+                if a is not None:
+                    a.weights.fill(0.0)
+                    a.biases.fill(0.0)
             for i in batch:
                 scores, traces = network_forward(
                     net, train_set.samples[i].image, mode=TRAIN, rng=rng

@@ -37,6 +37,36 @@ def maxpool_reference(x):
     return out
 
 
+def maxpool_mask_reference(x):
+    """Per-window scan for the (row, col) of the first maximum in row-major order."""
+    c, h, w = x.shape
+    rows = np.zeros((c, h // 2, w // 2), dtype=np.uint8)
+    cols = np.zeros_like(rows)
+    for ch in range(c):
+        for y in range(h // 2):
+            for col in range(w // 2):
+                best = None
+                for dy in range(2):
+                    for dx in range(2):
+                        v = x[ch, 2 * y + dy, 2 * col + dx]
+                        if best is None or v > best:
+                            best = v
+                            rows[ch, y, col], cols[ch, y, col] = dy, dx
+    return rows, cols
+
+
+def sigmoid_reference(t):
+    """Two-branch logistic: exp(-t) where t >= 0, exp(t) elsewhere, written
+    through boolean masks, clamped to the open interval (0, 1)."""
+    t = np.ascontiguousarray(t, dtype=np.float64)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
 def numeric_gradient(f, arr, step=1e-5):
     """Central finite differences of scalar f w.r.t. every entry of arr."""
     grad = np.zeros_like(arr)

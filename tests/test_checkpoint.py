@@ -166,6 +166,13 @@ class TestLoad:
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(path)
 
+    def test_class_count_must_match_label_count(self, tmp_path):
+        path = tmp_path / "cc.blpr"
+        save_checkpoint(build_network(NetworkConfig(class_count=20), seed=1),
+                        LabelMap(), path)
+        with pytest.raises(ShapeMismatchError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
     def test_every_bit_flip_in_tail_loads_or_raises_checkpoint_error(
         self, trained_net, tmp_path
     ):

@@ -1,7 +1,9 @@
 import pytest
 
+from blprs.checkpoint import save_checkpoint
 from blprs.cli import export_curve_csv, main
 from blprs.data import LabelMap
+from blprs.network import NetworkConfig, build_network
 from blprs.training import TrainingReport
 
 
@@ -85,6 +87,19 @@ class TestTrainCommand:
         assert "error:" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate_fails_without_checkpoint(
+        self, capsys, synth_dir, tmp_path, rate
+    ):
+        model = tmp_path / "m.blpr"
+        code = main([
+            "train", "--data", str(synth_dir), "--epochs", "1",
+            "--lr", rate, "--out", str(model),
+        ])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_missing_data_dir_fails_cleanly(self, capsys, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope"),
                      "--epochs", "1", "--out", str(tmp_path / "m.blpr")])
@@ -115,6 +130,16 @@ class TestPredictCommand:
         assert first == second
         assert first.startswith("predicted: ")
         assert len(first.splitlines()) == 17  # prediction + 16 scores
+
+    def test_class_count_label_mismatch_fails_cleanly(self, capsys, synth_dir, tmp_path):
+        model = tmp_path / "twenty.blpr"
+        save_checkpoint(build_network(NetworkConfig(class_count=20), seed=1),
+                        LabelMap(), model)
+        image = next((synth_dir / LabelMap()[0]).glob("*.pgm"))
+        assert main(["predict", "--model", str(model), "--image", str(image)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(model) in err
+        assert "Traceback" not in err
 
 
 class TestInspectCommand:

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import blprs.layers as layers_module
 from blprs.checkpoint import save_checkpoint
 from blprs.data import LabelMap, one_hot
 from blprs.layers import EVAL, TRAIN
@@ -16,6 +17,7 @@ from blprs.network import (
     network_forward,
     predict,
 )
+from blprs.tensor import conv2d_backward
 from oracles import gradient_gap, numeric_gradient
 
 # Smallest config whose shape chain survives two conv+pool stages with the
@@ -192,6 +194,19 @@ class TestNetworkBackward:
             else:
                 assert g.weights.shape == s.weights.shape
                 assert g.biases.shape == s.biases.shape
+
+    def test_first_layer_skips_its_input_gradient(self, monkeypatch):
+        calls = []
+
+        def spy(x, kernels, grad_out, input_grad=True):
+            calls.append((x.shape, input_grad))
+            return conv2d_backward(x, kernels, grad_out, input_grad=input_grad)
+
+        monkeypatch.setattr(layers_module, "conv2d_backward", spy)
+        net = build_network(REDUCED, 12)
+        _, traces = network_forward(net, np.zeros((1, 16, 16)), mode=TRAIN)
+        network_backward(net, traces, one_hot(1, 4))
+        assert calls == [((2, 6, 6), True), ((1, 16, 16), False)]
 
     def test_full_network_finite_differences(self):
         net = build_network(REDUCED, 13)

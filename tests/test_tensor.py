@@ -9,7 +9,25 @@ from blprs.tensor import (
     sigmoid_map,
     tensor_create,
 )
-from oracles import conv2d_reference, gradient_gap, maxpool_reference, numeric_gradient
+from oracles import (
+    conv2d_reference,
+    gradient_gap,
+    maxpool_mask_reference,
+    maxpool_reference,
+    numeric_gradient,
+    sigmoid_reference,
+)
+
+
+def _tie_heavy_input():
+    """Every 2x2 window over {0, 1, 2} (all 81 tie patterns), then random
+    small integers, so most windows hold tied maxima."""
+    rng = np.random.default_rng(17)
+    patterns = np.array(np.meshgrid(*[np.arange(3.0)] * 4, indexing="ij"))
+    windows = patterns.reshape(4, -1).T.reshape(-1, 2, 2)  # (81, 2, 2)
+    every = windows.reshape(9, 9, 2, 2).transpose(0, 2, 1, 3).reshape(1, 18, 18)
+    return [every, rng.integers(0, 3, size=(6, 28, 28)).astype(np.float64),
+            rng.integers(0, 3, size=(12, 10, 10)).astype(np.float64)]
 
 
 class TestTensorCreate:
@@ -108,6 +126,16 @@ class TestConvBackward:
         assert gradient_gap(gk, numeric_gradient(loss, k)) < 1e-5
         assert gradient_gap(gb, numeric_gradient(loss, b)) < 1e-5
 
+    def test_skipping_input_grad_keeps_parameter_grads(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((2, 9, 9))
+        k = rng.standard_normal((3, 2, 4, 4))
+        g_out = rng.standard_normal((3, 6, 6))
+        _, gk, gb = conv2d_backward(x, k, g_out)
+        gi, gk_only, gb_only = conv2d_backward(x, k, g_out, input_grad=False)
+        assert gi is None
+        assert gk_only.tobytes() == gk.tobytes() and gb_only.tobytes() == gb.tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="grad_out"):
             conv2d_backward(np.zeros((1, 4, 4)), np.zeros((1, 1, 2, 2)),
@@ -144,6 +172,21 @@ class TestMaxPool:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError, match="even"):
             maxpool2x2(np.zeros((1, 3, 4)))
+
+    def test_mask_is_first_maximum_on_ties(self):
+        for x in _tie_heavy_input():
+            out, mask = maxpool2x2(x)
+            rows, cols = maxpool_mask_reference(x)
+            assert out.tobytes() == maxpool_reference(x).tobytes()
+            assert np.array_equal(mask.rows, rows) and np.array_equal(mask.cols, cols)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_nan_reaches_output(self, position):
+        x = np.arange(4.0).reshape(1, 2, 2)
+        x.flat[position] = np.nan
+        out, mask = maxpool2x2(x)
+        assert np.isnan(out[0, 0, 0])
+        assert (mask.rows[0, 0, 0], mask.cols[0, 0, 0]) == divmod(position, 2)
 
 
 class TestMaxPoolBackward:
@@ -182,6 +225,17 @@ class TestMaxPoolBackward:
             routed = maxpool2x2_backward(g, mask, x.shape)
             assert np.isclose(routed.sum(), g.sum(), atol=1e-12)
 
+    def test_routes_to_oracle_mask_bitwise(self):
+        rng = np.random.default_rng(23)
+        for x in _tie_heavy_input():
+            _, mask = maxpool2x2(x)
+            rows, cols = maxpool_mask_reference(x)
+            g = rng.standard_normal(rows.shape)  # negative entries too
+            expected = np.zeros(x.shape)  # +0.0 everywhere nothing is routed
+            for ch, y, col in np.ndindex(rows.shape):
+                expected[ch, 2 * y + rows[ch, y, col], 2 * col + cols[ch, y, col]] = g[ch, y, col]
+            assert maxpool2x2_backward(g, mask, x.shape).tobytes() == expected.tobytes()
+
     def test_shape_mismatch(self):
         x = np.zeros((1, 4, 4))
         _, mask = maxpool2x2(x)
@@ -213,3 +267,13 @@ class TestSigmoid:
         x = np.sort(rng.standard_normal(100) * 10)
         y = sigmoid_map(x)
         assert np.all(np.diff(y) >= 0)
+
+    def test_matches_two_branch_oracle_bitwise(self):
+        rng = np.random.default_rng(41)
+        tiny = np.nextafter(0.0, 1.0)
+        edges = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 2.2e-308,
+                          -2.2e-308, 745.0, -745.0, 1e6, -1e6])
+        grid = rng.standard_normal((12, 10, 10)) * 20
+        for t in (edges, rng.standard_normal(1000) * 40, grid, grid[:, ::2, 1::3],
+                  grid.transpose(2, 0, 1)):
+            assert sigmoid_map(t).tobytes() == sigmoid_reference(t).tobytes()

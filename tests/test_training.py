@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import blprs.training as training_module
+from blprs.checkpoint import save_checkpoint
 from blprs.data import Dataset, LabelMap, Sample, SynthSpec, generate_synthetic
 from blprs.layers import LayerState
 from blprs.network import NetworkConfig, build_network
@@ -186,6 +189,22 @@ class TestTrain:
                 assert np.array_equal(a.weights, b.weights)
                 assert np.array_equal(a.biases, b.biases)
 
+    def test_two_epochs_match_golden_checkpoint_and_losses(self, tmp_path):
+        # Any change to summation order, the dropout draw or the update rule
+        # moves these bytes.
+        ds = generate_synthetic(SynthSpec(per_class_count=2, seed=1), LabelMap())
+        net, report = train(build_network(NetworkConfig(), seed=42), ds,
+                            TrainConfig(epochs=2, seed=1))
+        assert report.per_epoch_error == [
+            float.fromhex("0x1.0725a239250a4p+0"),  # 1.0279179944528005
+            float.fromhex("0x1.fd523563b7086p-2"),  # 0.4973839132414998
+        ]
+        path = tmp_path / "trained.blpr"
+        save_checkpoint(net, ds.labels, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a6af7d3e5d23ebb7119a58a74b2e609640b50491730c74ee483bc1b26e9d30f1"
+        )
+
     def test_loss_decreases_on_learnable_set(self):
         ds = generate_synthetic(SynthSpec(per_class_count=6, seed=2), LabelMap())
         net = build_network(NetworkConfig(dropout_rate=0.0), 42)
@@ -210,6 +229,10 @@ class TestTrain:
         for kwargs in (
             dict(epochs=0),
             dict(epochs=1, learning_rate=-1.0),
+            dict(epochs=1, learning_rate=0.0),
+            dict(epochs=1, learning_rate=float("nan")),
+            dict(epochs=1, learning_rate=float("inf")),
+            dict(epochs=1, learning_rate=float("-inf")),
             dict(epochs=1, batch_size=0),
         ):
             with pytest.raises(ValueError):
