@@ -26,6 +26,7 @@ from .network import Network, NetworkConfig
 
 MAGIC = b"BLPR"
 VERSION = 1
+_CONFIG = struct.Struct("<8Id")
 
 
 class CheckpointError(ValueError):
@@ -51,16 +52,14 @@ class ShapeMismatchError(CheckpointError):
 def save_checkpoint(net: Network, labels: LabelMap, path) -> None:
     """Serialize network + labels; writes via a temp file, renamed on success."""
     cfg = net.config
-    parts = [MAGIC, bytes([VERSION])]
-    parts.append(
-        struct.pack(
-            "<8I",
-            cfg.input_shape[0], cfg.input_shape[1], cfg.input_shape[2],
-            cfg.conv1_maps, cfg.conv2_maps, cfg.kernel_size,
-            cfg.hidden_units, cfg.class_count,
-        )
-    )
-    parts.append(struct.pack("<d", cfg.dropout_rate))
+    parts = [
+        MAGIC,
+        bytes([VERSION]),
+        _CONFIG.pack(
+            *cfg.input_shape, cfg.conv1_maps, cfg.conv2_maps, cfg.kernel_size,
+            cfg.hidden_units, cfg.class_count, cfg.dropout_rate,
+        ),
+    ]
     parametric = [s for s in net.states if s is not None]
     parts.append(struct.pack("<I", len(parametric)))
     for state in parametric:
@@ -97,9 +96,6 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
     def floats(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(count * 8), dtype="<f8").astype(np.float64)
 
@@ -114,20 +110,20 @@ def load_checkpoint(path):
     if version != VERSION:
         raise UnsupportedVersionError(f"{path}: unsupported version {version}")
 
-    in_c, in_h, in_w, m1, m2, k, units, classes = (r.u32() for _ in range(8))
-    dropout = r.f64()
-    config = NetworkConfig(
-        input_shape=(in_c, in_h, in_w),
-        conv1_maps=m1,
-        conv2_maps=m2,
-        kernel_size=k,
-        hidden_units=units,
-        class_count=classes,
-        dropout_rate=dropout,
+    in_c, in_h, in_w, m1, m2, k, units, classes, dropout = _CONFIG.unpack(
+        r.take(_CONFIG.size)
     )
     try:
+        config = NetworkConfig(
+            input_shape=(in_c, in_h, in_w),
+            conv1_maps=m1,
+            conv2_maps=m2,
+            kernel_size=k,
+            hidden_units=units,
+            class_count=classes,
+            dropout_rate=dropout,
+        )
         shapes = config.param_shapes()
-        config.layer_specs()
     except ValueError as exc:
         raise ShapeMismatchError(f"{path}: config describes no valid network: {exc}")
 

@@ -19,6 +19,7 @@ import numpy as np
 from .tensor import Tensor, as_tensor
 
 IMAGE_SIZE = 32
+PNM_MAX_FIELD_DIGITS = 9  # far below the digit limit of Python's int()
 
 # Bangla digits 0-9; the six letter slots are placeholders a deployment
 # overrides with the plate letters it actually encounters.
@@ -115,7 +116,11 @@ def read_pnm(path) -> np.ndarray:
         fields.append(raw[start:pos])
     if not all(f.isdigit() for f in fields):
         raise ValueError(f"{path}: malformed header")
+    if max(map(len, fields)) > PNM_MAX_FIELD_DIGITS:
+        raise ValueError(f"{path}: header field over {PNM_MAX_FIELD_DIGITS} digits")
     width, height, maxval = (int(f) for f in fields)
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: image is {width}x{height}, needs at least 1x1")
     if maxval != 255:
         raise ValueError(f"{path}: only 8-bit depth supported, maxval={maxval}")
     pos += 1  # single whitespace byte after the header

@@ -1,8 +1,8 @@
 """Layer units composing the kernels into forward/backward passes.
 
 Three layer kinds: convolution (valid 5x5-style), 2x2 max-pooling, and
-fully connected. Sigmoid is the only nonlinearity; dropout uses inverted
-scaling so evaluation mode is the identity.
+fully connected. Sigmoid is the only nonlinearity; dropout applies exactly
+when an rng is given, with inverted scaling so no rng means the identity.
 """
 from __future__ import annotations
 
@@ -25,9 +25,6 @@ from .tensor import (
 CONV = "conv"
 POOL = "pool"
 FC = "fc"
-
-TRAIN = "train"
-EVAL = "eval"
 
 
 @dataclass(frozen=True)
@@ -92,12 +89,9 @@ def layer_forward(
     spec: LayerSpec,
     state: Optional[LayerState],
     x: Tensor,
-    mode: str = EVAL,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[Tensor, ForwardTrace]:
-    """Run one layer forward, returning the output and its backward trace."""
-    if mode not in (TRAIN, EVAL):
-        raise ValueError(f"mode must be {TRAIN!r} or {EVAL!r}, got {mode!r}")
+    """Run one layer forward; dropout applies exactly when an rng is given."""
     x = as_tensor(x)
     trace = ForwardTrace(input=x)
 
@@ -120,9 +114,7 @@ def layer_forward(
             out = sigmoid_map(out)
             trace.post_activation = out
 
-    if spec.dropout_rate > 0.0 and mode == TRAIN:
-        if rng is None:
-            raise ValueError("train-mode dropout requires an rng")
+    if spec.dropout_rate > 0.0 and rng is not None:
         trace.dropout_mask = dropout_mask(out.shape, spec.dropout_rate, rng)
         out = out * trace.dropout_mask
 

@@ -11,7 +11,6 @@ convolution and the hidden layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import prod
 from typing import Optional
 
@@ -19,7 +18,6 @@ import numpy as np
 
 from .layers import (
     CONV,
-    EVAL,
     FC,
     POOL,
     ForwardTrace,
@@ -45,9 +43,18 @@ class NetworkConfig:
     hidden_units: int = 300
     class_count: int = 16
     dropout_rate: float = 0.5
+    layer_specs: tuple = field(init=False, repr=False, compare=False)
 
-    def layer_specs(self) -> tuple[LayerSpec, ...]:
-        return _specs_for(self)
+    def __post_init__(self):
+        object.__setattr__(self, "layer_specs", (
+            LayerSpec(CONV, self.conv1_maps, self.kernel_size, apply_sigmoid=True),
+            LayerSpec(POOL),
+            LayerSpec(CONV, self.conv2_maps, self.kernel_size, apply_sigmoid=True),
+            LayerSpec(POOL),
+            LayerSpec(FC, self.hidden_units, apply_sigmoid=True,
+                      dropout_rate=self.dropout_rate),
+            LayerSpec(FC, self.class_count, apply_sigmoid=True),
+        ))
 
     def shape_chain(self) -> list[tuple]:
         """Per-layer output shapes, input first; raises on an invalid chain."""
@@ -86,23 +93,6 @@ class NetworkConfig:
         ]
 
 
-@lru_cache(maxsize=None)
-def _specs_for(config: "NetworkConfig") -> tuple[LayerSpec, ...]:
-    return (
-        LayerSpec(CONV, config.conv1_maps, config.kernel_size, apply_sigmoid=True),
-        LayerSpec(POOL),
-        LayerSpec(CONV, config.conv2_maps, config.kernel_size, apply_sigmoid=True),
-        LayerSpec(POOL),
-        LayerSpec(
-            FC,
-            config.hidden_units,
-            apply_sigmoid=True,
-            dropout_rate=config.dropout_rate,
-        ),
-        LayerSpec(FC, config.class_count, apply_sigmoid=True),
-    )
-
-
 @dataclass
 class Network:
     config: NetworkConfig
@@ -128,10 +118,12 @@ def build_network(config: NetworkConfig, seed: int) -> Network:
 def network_forward(
     net: Network,
     image: Tensor,
-    mode: str = EVAL,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[Tensor, list[ForwardTrace]]:
-    """Chain all six layers; returns the 16 class scores and the traces."""
+    """Chain all six layers; returns the 16 class scores and the traces.
+
+    Dropout applies exactly when an rng is given.
+    """
     image = as_tensor(image)
     if image.shape != tuple(net.config.input_shape):
         raise ValueError(
@@ -142,8 +134,8 @@ def network_forward(
         raise ValueError("input image contains NaN or infinite values")
     traces = []
     out = image
-    for spec, state in zip(net.config.layer_specs(), net.states):
-        out, trace = layer_forward(spec, state, out, mode, rng)
+    for spec, state in zip(net.config.layer_specs, net.states):
+        out, trace = layer_forward(spec, state, out, rng)
         traces.append(trace)
     return out, traces
 
@@ -159,7 +151,7 @@ def network_backward(
             f"target shape {target.shape} does not match scores {scores_shape}"
         )
     grad = traces[-1].post_activation - target
-    specs = net.config.layer_specs()
+    specs = net.config.layer_specs
     grads: list[Optional[LayerState]] = [None] * len(traces)
     for i in range(len(traces) - 1, -1, -1):
         # Nothing reads the gradient w.r.t. the image, so C1 skips it.
@@ -170,8 +162,8 @@ def network_backward(
 
 
 def predict(net: Network, image: Tensor) -> tuple[int, Tensor]:
-    """Evaluation-mode class readout; ties break toward the lowest index."""
-    scores, _ = network_forward(net, image, mode=EVAL)
+    """Class readout without dropout; ties break toward the lowest index."""
+    scores, _ = network_forward(net, image)
     return int(np.argmax(scores)), scores
 
 

@@ -49,7 +49,8 @@ def as_tensor(values) -> Tensor:
 class ArgmaxMask:
     """Winning (row, col) offset inside each 2x2 pooling window.
 
-    ``rows`` and ``cols`` have the pooled output's shape and entries in {0, 1}.
+    ``rows`` and ``cols`` are boolean arrays of the pooled output's shape:
+    True marks the bottom row and the right column.
     """
 
     rows: np.ndarray
@@ -168,7 +169,7 @@ def maxpool2x2(x: Tensor) -> tuple[Tensor, ArgmaxMask]:
     row = _takes(top, bottom)
     out = np.where(row, bottom, top)
     col = np.where(row, bottom_col, top_col)
-    return out, ArgmaxMask(rows=row.view(np.uint8), cols=col.view(np.uint8))
+    return out, ArgmaxMask(rows=row, cols=col)
 
 
 def maxpool2x2_backward(
@@ -182,8 +183,7 @@ def maxpool2x2_backward(
             f"grad_out {grad_out.shape} / mask {mask.shape} do not match "
             f"input shape {(c, h, w)}"
         )
-    row = mask.rows.astype(bool, copy=False)
-    col = mask.cols.astype(bool, copy=False)
+    row, col = mask.rows, mask.cols
     # np.where, not a product with the mask: the product writes -0.0 where a
     # negative gradient meets a losing position.
     top = np.where(row, 0.0, grad_out)

@@ -13,8 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, one_hot
-from .layers import TRAIN, LayerState, mse_loss
+from .layers import LayerState, mse_loss
 from .network import Network, network_backward, network_forward, predict
+
+
+class DivergenceError(ValueError):
+    """Training produced a non-finite loss, weight or bias."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
     per_epoch_error = []
     per_epoch_seconds = []
     loop_start = time.perf_counter()
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         epoch_start = time.perf_counter()
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -128,9 +132,7 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
                     a.weights.fill(0.0)
                     a.biases.fill(0.0)
             for i in batch:
-                scores, traces = network_forward(
-                    net, train_set.samples[i].image, mode=TRAIN, rng=rng
-                )
+                scores, traces = network_forward(net, train_set.samples[i].image, rng)
                 loss, _ = mse_loss(scores, targets[i])
                 epoch_loss += loss
                 for a, g in zip(acc, network_backward(net, traces, targets[i])):
@@ -143,6 +145,11 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
                     a.weights *= inv
                     a.biases *= inv
             net = sgd_update(net, acc, config.learning_rate)
+        if not np.isfinite(epoch_loss) or not all(
+            np.isfinite(s.weights).all() and np.isfinite(s.biases).all()
+            for s in net.states if s is not None
+        ):
+            raise DivergenceError(f"epoch {epoch} diverged: non-finite loss or parameters")
         per_epoch_error.append(epoch_loss / n)
         per_epoch_seconds.append(time.perf_counter() - epoch_start)
     total = time.perf_counter() - loop_start

@@ -17,10 +17,8 @@ from blprs.cli import main
 from blprs.data import LabelMap, SynthSpec, generate_synthetic, one_hot
 from blprs.layers import (
     CONV,
-    EVAL,
     FC,
     POOL,
-    TRAIN,
     LayerSpec,
     LayerState,
     dropout_mask,
@@ -122,7 +120,7 @@ def _image_without_pool_ties(net, rng, gap=1e-3):
     so finite differences cannot flip a winner."""
     while True:
         img = rng.random(net.config.input_shape)
-        _, traces = network_forward(net, img, mode=EVAL)
+        _, traces = network_forward(net, img)
         clear = True
         for t in traces:
             if t.pool_mask is None:
@@ -146,14 +144,14 @@ def test_criterion_4_gradient_correctness():
         kind = (CONV, POOL, FC)[trial % 3]
         spec, state, x = _random_layer_instance(kind, rng)
         seed = int(rng.integers(2**31))
-        out, _ = layer_forward(spec, state, x, TRAIN, np.random.default_rng(seed))
+        out, _ = layer_forward(spec, state, x, np.random.default_rng(seed))
         direction = rng.standard_normal(out.shape)
 
         def loss():
-            y, _ = layer_forward(spec, state, x, TRAIN, np.random.default_rng(seed))
+            y, _ = layer_forward(spec, state, x, np.random.default_rng(seed))
             return float(np.sum(y * direction))
 
-        _, trace = layer_forward(spec, state, x, TRAIN, np.random.default_rng(seed))
+        _, trace = layer_forward(spec, state, x, np.random.default_rng(seed))
         gi, grads = layer_backward(spec, state, trace, direction)
         worst = max(worst, gradient_gap(gi, numeric_gradient(loss, x, step=1e-5)))
         if grads is not None:
@@ -169,10 +167,10 @@ def test_criterion_4_gradient_correctness():
         target = one_hot(int(rng.integers(4)), 4)
 
         def net_loss():
-            scores, _ = network_forward(net, img, mode=EVAL)
+            scores, _ = network_forward(net, img)
             return 0.5 * float(np.sum((scores - target) ** 2))
 
-        _, traces = network_forward(net, img, mode=TRAIN)
+        _, traces = network_forward(net, img)
         grads = network_backward(net, traces, target)
         for li, g in enumerate(grads):
             if g is None:
@@ -259,8 +257,8 @@ def test_criterion_8_dropout_contract():
     spec_plain = LayerSpec(FC, 8, apply_sigmoid=True, dropout_rate=0.0)
     state = LayerState(rng.standard_normal((8, 10)), rng.standard_normal(8))
     x = rng.random(10)
-    out_eval, _ = layer_forward(spec_drop, state, x, EVAL)
-    out_plain, _ = layer_forward(spec_plain, state, x, EVAL)
+    out_eval, _ = layer_forward(spec_drop, state, x)
+    out_plain, _ = layer_forward(spec_plain, state, x)
     ok = 0.49 <= kept <= 0.51 and np.array_equal(out_eval, out_plain)
     _verdict(8, f"dropout keeps {kept:.4f} of 1e6 entries at rate 0.5; "
                 f"eval mode is exactly dropout-free", ok)

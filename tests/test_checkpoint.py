@@ -117,6 +117,18 @@ class TestLoad:
         with pytest.raises(TruncatedCheckpointError):
             load_checkpoint(path)
 
+    def test_every_prefix_is_truncated(self, tmp_path):
+        config = NetworkConfig(input_shape=(1, 16, 16), conv1_maps=2, conv2_maps=4,
+                               hidden_units=20, dropout_rate=0.0)
+        path = tmp_path / "p.blpr"
+        save_checkpoint(build_network(config, seed=5), LabelMap(), path)
+        clean = path.read_bytes()
+        assert len(clean) == 5781
+        for end in range(len(clean)):
+            path.write_bytes(clean[:end])
+            with pytest.raises(TruncatedCheckpointError):
+                load_checkpoint(path)
+
     def test_shape_inconsistency(self, trained_net, tmp_path):
         path = tmp_path / "sh.blpr"
         save_checkpoint(trained_net, LabelMap(), path)

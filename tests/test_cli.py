@@ -100,6 +100,20 @@ class TestTrainCommand:
         assert "error:" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverging_learning_rate_fails_without_checkpoint(
+        self, capsys, synth_dir, tmp_path
+    ):
+        model = tmp_path / "m.blpr"
+        code = main([
+            "train", "--data", str(synth_dir), "--epochs", "2",
+            "--lr", "1e300", "--out", str(model),
+        ])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_missing_data_dir_fails_cleanly(self, capsys, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope"),
                      "--epochs", "1", "--out", str(tmp_path / "m.blpr")])
@@ -139,6 +153,22 @@ class TestPredictCommand:
         assert main(["predict", "--model", str(model), "--image", str(image)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(model) in err
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("content", [
+        b"P5\n0 0\n255\n",
+        b"P5\n" + b"1" * 5000 + b" 1\n255\n\x00",
+    ])
+    def test_bad_image_header_names_the_file(
+        self, capsys, trained, tmp_path, content
+    ):
+        model, _ = trained
+        image = tmp_path / "bad.pgm"
+        image.write_bytes(content)
+        assert main(["predict", "--model", str(model), "--image", str(image)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {image}:")
         assert "Traceback" not in err
 
 

@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from blprs.data import (
+    PNM_MAX_FIELD_DIGITS,
     Dataset,
     LabelMap,
     Sample,
@@ -143,6 +148,105 @@ class TestPnmIo:
         with pytest.raises(ValueError, match="truncated"):
             read_pnm(path)
 
+    @pytest.mark.parametrize("content", [
+        b"P5\n0 0\n255\n",
+        b"P5\n0 3\n255\n",
+        b"P6\n3 00\n255\n",
+    ])
+    def test_zero_sized_image_names_the_file(self, tmp_path, content):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            read_pnm(path)
+
+    @pytest.mark.parametrize("field", range(3))
+    def test_overlong_header_field_names_the_file(self, tmp_path, field):
+        fields = [b"2", b"1", b"255"]
+        fields[field] = b"1" * 5000
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n" + b" ".join(fields) + b"\n\x00\x01")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*digits"):
+            read_pnm(path)
+
+    def test_longest_accepted_header_field(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        width = b"2".rjust(PNM_MAX_FIELD_DIGITS, b"0")
+        path.write_bytes(b"P5\n" + width + b" 1\n255\n\x00\x01")
+        assert np.array_equal(read_pnm(path), [[0, 1]])
+        path.write_bytes(b"P5\n0" + width + b" 1\n255\n\x00\x01")
+        with pytest.raises(ValueError, match="digits"):
+            read_pnm(path)
+
+
+# A netpbm header as the format defines it: magic, then width, height and
+# maxval as decimal tokens separated by whitespace and '#' comments that run
+# to the end of their line, then one whitespace byte before the pixels.
+_SEP = rb"(?:\s|#[^\n]*\n)*"
+_FIELD = rb"(\d{1,%d})(?=\s)" % PNM_MAX_FIELD_DIGITS
+_PNM_HEADER = re.compile(
+    rb"P([56])" + _SEP + _FIELD + _SEP + _FIELD + _SEP + _FIELD + rb"\s"
+)
+
+
+def _expected_pixels(data):
+    """Pixels a correct reader returns for ``data``, or None if it must fail."""
+    m = _PNM_HEADER.match(data)
+    if m is None:
+        return None
+    channels = 1 if m[1] == b"5" else 3
+    width, height, maxval = int(m[2]), int(m[3]), int(m[4])
+    count = width * height * channels
+    if width < 1 or height < 1 or maxval != 255 or len(data) - m.end() < count:
+        return None
+    pixels = np.frombuffer(data, np.uint8, count, m.end())
+    return pixels.reshape((height, width) if channels == 1 else (height, width, 3))
+
+
+_MUTATION = st.tuples(
+    st.sampled_from(["flip", "truncate", "insert"]),
+    st.one_of(st.integers(2, 16), st.integers(0, 200)),  # favour the header fields
+    st.sampled_from(list(b" \t\n#0123456789") + [0, 0x80, 0xFF]),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    magic=st.sampled_from([b"P5", b"P6"]),
+    width=st.integers(1, 4),
+    height=st.integers(1, 4),
+    comment=st.booleans(),
+    seed=st.integers(0, 2**16),
+    mutations=st.lists(_MUTATION, min_size=1, max_size=4),
+)
+def test_read_pnm_fuzzed_header_reads_or_names_the_file(
+    tmp_path, magic, width, height, comment, seed, mutations
+):
+    channels = 1 if magic == b"P5" else 3
+    pixels = np.random.default_rng(seed).integers(0, 256, width * height * channels)
+    data = bytearray(magic + b"\n" + (b"# c\n" if comment else b"")
+                     + b"%d %d\n255\n" % (width, height))
+    data += pixels.astype(np.uint8).tobytes()
+    for kind, position, byte in mutations:
+        position %= len(data) + 1
+        if kind == "flip" and position < len(data):
+            data[position] ^= byte or 1
+        elif kind == "truncate":
+            del data[position:]
+        elif kind == "insert":
+            data.insert(position, byte)
+    data = bytes(data)
+    path = tmp_path / "fuzz.pnm"
+    path.write_bytes(data)
+    expected = _expected_pixels(data)
+    if expected is None:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            read_pnm(path)
+    else:
+        got = read_pnm(path)
+        assert got.dtype == np.uint8 and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
 
 def _write_tree(root, labels, per_class=2, value=255):
     for i, label in enumerate(labels.labels):
@@ -180,6 +284,14 @@ class TestLoadDatasetDir:
         assert [s.class_index for s in a.samples] == [s.class_index for s in b.samples]
         assert all(np.array_equal(x.image, y.image)
                    for x, y in zip(a.samples, b.samples))
+
+    def test_zero_sized_image_named_in_error(self, tmp_path):
+        labels = LabelMap()
+        _write_tree(tmp_path, labels, per_class=1)
+        bad = tmp_path / labels[3] / "0.pgm"
+        bad.write_bytes(b"P5\n0 0\n255\n")
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            load_dataset_dir(tmp_path, labels)
 
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no class"):

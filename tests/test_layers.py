@@ -3,10 +3,8 @@ import pytest
 
 from blprs.layers import (
     CONV,
-    EVAL,
     FC,
     POOL,
-    TRAIN,
     LayerSpec,
     LayerState,
     dropout_mask,
@@ -64,9 +62,9 @@ class TestLayerForward:
         x = rng.random(8)
         with_dropout = LayerSpec(FC, 5, apply_sigmoid=True, dropout_rate=0.5)
         without = LayerSpec(FC, 5, apply_sigmoid=True, dropout_rate=0.0)
-        out_eval, _ = layer_forward(with_dropout, LayerState(w, b), x, mode=EVAL)
+        out_eval, _ = layer_forward(with_dropout, LayerState(w, b), x)
         out_train, _ = layer_forward(
-            without, LayerState(w, b), x, mode=TRAIN, rng=np.random.default_rng(0)
+            without, LayerState(w, b), x, rng=np.random.default_rng(0)
         )
         assert np.array_equal(out_eval, out_train)
 
@@ -75,15 +73,9 @@ class TestLayerForward:
         spec = LayerSpec(FC, 6, apply_sigmoid=True, dropout_rate=0.3)
         state = LayerState(rng.standard_normal((6, 4)), rng.standard_normal(6))
         x = rng.random(4)
-        a, _ = layer_forward(spec, state, x, TRAIN, np.random.default_rng(99))
-        b2, _ = layer_forward(spec, state, x, TRAIN, np.random.default_rng(99))
+        a, _ = layer_forward(spec, state, x, np.random.default_rng(99))
+        b2, _ = layer_forward(spec, state, x, np.random.default_rng(99))
         assert np.array_equal(a, b2)
-
-    def test_train_dropout_without_rng_rejected(self):
-        spec = LayerSpec(FC, 2, dropout_rate=0.5)
-        state = LayerState(np.zeros((2, 3)), np.zeros(2))
-        with pytest.raises(ValueError, match="rng"):
-            layer_forward(spec, state, np.zeros(3), mode=TRAIN)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -124,14 +116,14 @@ class TestLayerBackward:
     def test_finite_differences_per_kind(self, kind):
         rng = np.random.default_rng(hash(kind) % 2**31)
         spec, state, x = _random_layer(kind, rng)
-        out, _ = layer_forward(spec, state, x, EVAL)
+        out, _ = layer_forward(spec, state, x)
         weights = rng.standard_normal(out.shape)
 
         def loss():
-            y, _ = layer_forward(spec, state, x, EVAL)
+            y, _ = layer_forward(spec, state, x)
             return float(np.sum(y * weights))
 
-        _, trace = layer_forward(spec, state, x, EVAL)
+        _, trace = layer_forward(spec, state, x)
         gi, grads = layer_backward(spec, state, trace, weights)
         assert gradient_gap(gi, numeric_gradient(loss, x)) < 1e-5
         if grads is not None:
@@ -151,16 +143,16 @@ class TestLayerBackward:
                 spec = LayerSpec(FC, spec.out_maps, apply_sigmoid=spec.apply_sigmoid,
                                  dropout_rate=0.4)
             mask_seed = int(rng.integers(2**31))
-            out, _ = layer_forward(spec, state, x, TRAIN,
+            out, _ = layer_forward(spec, state, x,
                                    np.random.default_rng(mask_seed))
             weights = rng.standard_normal(out.shape)
 
             def loss():
-                y, _ = layer_forward(spec, state, x, TRAIN,
+                y, _ = layer_forward(spec, state, x,
                                      np.random.default_rng(mask_seed))
                 return float(np.sum(y * weights))
 
-            _, trace = layer_forward(spec, state, x, TRAIN,
+            _, trace = layer_forward(spec, state, x,
                                      np.random.default_rng(mask_seed))
             gi, grads = layer_backward(spec, state, trace, weights)
             assert gradient_gap(gi, numeric_gradient(loss, x)) < 1e-5
@@ -199,12 +191,12 @@ class TestDropoutMask:
         spec = LayerSpec(FC, 10, apply_sigmoid=True, dropout_rate=0.5)
         state = LayerState(rng.standard_normal((10, 12)), rng.standard_normal(10))
         x = rng.random(12)
-        eval_out, _ = layer_forward(spec, state, x, EVAL)
+        eval_out, _ = layer_forward(spec, state, x)
         total = np.zeros_like(eval_out)
         n_masks = 5000
         mask_rng = np.random.default_rng(999)
         for _ in range(n_masks):
-            out, _ = layer_forward(spec, state, x, TRAIN, mask_rng)
+            out, _ = layer_forward(spec, state, x, mask_rng)
             total += out
         mean = total / n_masks
         big = np.abs(eval_out) >= 0.1

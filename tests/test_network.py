@@ -6,7 +6,6 @@ import pytest
 import blprs.layers as layers_module
 from blprs.checkpoint import save_checkpoint
 from blprs.data import LabelMap, one_hot
-from blprs.layers import EVAL, TRAIN
 from blprs.network import (
     PAPER,
     STANDARD,
@@ -95,7 +94,7 @@ class TestBuildNetwork:
     @pytest.mark.parametrize("rate", [1.0, -0.1, float("nan")])
     def test_invalid_dropout_rejected_by_layer_specs(self, rate):
         with pytest.raises(ValueError, match="dropout"):
-            NetworkConfig(dropout_rate=rate).layer_specs()
+            NetworkConfig(dropout_rate=rate).layer_specs
 
     def test_invalid_chain_rejected(self):
         # 8x8 input: 5x5 conv -> 4 -> pool 2 -> second 5x5 conv cannot fit
@@ -156,8 +155,8 @@ class TestNetworkForward:
     def test_eval_mode_deterministic(self):
         net = build_network(NetworkConfig(), 2)
         img = np.random.default_rng(4).random((1, 32, 32))
-        a, _ = network_forward(net, img, mode=EVAL)
-        b, _ = network_forward(net, img, mode=EVAL)
+        a, _ = network_forward(net, img)
+        b, _ = network_forward(net, img)
         assert np.array_equal(a, b)
 
     def test_scores_strictly_inside_unit_interval(self):
@@ -176,7 +175,7 @@ class TestNetworkBackward:
     def test_target_equal_to_scores_zeroes_gradients(self):
         net = build_network(REDUCED, 11)
         img = np.random.default_rng(1).random((1, 16, 16))
-        scores, traces = network_forward(net, img, mode=TRAIN)
+        scores, traces = network_forward(net, img)
         grads = network_backward(net, traces, scores.copy())
         for g in grads:
             if g is not None:
@@ -186,7 +185,7 @@ class TestNetworkBackward:
     def test_gradient_shapes_match_states(self):
         net = build_network(REDUCED, 12)
         img = np.random.default_rng(2).random((1, 16, 16))
-        _, traces = network_forward(net, img, mode=TRAIN)
+        _, traces = network_forward(net, img)
         grads = network_backward(net, traces, one_hot(1, 4))
         for s, g in zip(net.states, grads):
             if s is None:
@@ -204,7 +203,7 @@ class TestNetworkBackward:
 
         monkeypatch.setattr(layers_module, "conv2d_backward", spy)
         net = build_network(REDUCED, 12)
-        _, traces = network_forward(net, np.zeros((1, 16, 16)), mode=TRAIN)
+        _, traces = network_forward(net, np.zeros((1, 16, 16)))
         network_backward(net, traces, one_hot(1, 4))
         assert calls == [((2, 6, 6), True), ((1, 16, 16), False)]
 
@@ -215,10 +214,10 @@ class TestNetworkBackward:
         target = one_hot(2, 4)
 
         def loss():
-            scores, _ = network_forward(net, img, mode=EVAL)
+            scores, _ = network_forward(net, img)
             return 0.5 * float(np.sum((scores - target) ** 2))
 
-        _, traces = network_forward(net, img, mode=TRAIN)
+        _, traces = network_forward(net, img)
         grads = network_backward(net, traces, target)
         for li, g in enumerate(grads):
             if g is None:
@@ -229,7 +228,7 @@ class TestNetworkBackward:
 
     def test_target_shape_mismatch(self):
         net = build_network(REDUCED, 14)
-        _, traces = network_forward(net, np.zeros((1, 16, 16)), mode=TRAIN)
+        _, traces = network_forward(net, np.zeros((1, 16, 16)))
         with pytest.raises(ValueError, match="target"):
             network_backward(net, traces, np.zeros(16))
 

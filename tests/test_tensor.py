@@ -149,6 +149,10 @@ class TestMaxPool:
         assert out[0, 0, 0] == 4.0
         assert mask.rows[0, 0, 0] == 1 and mask.cols[0, 0, 0] == 1
 
+    def test_mask_is_boolean(self):
+        _, mask = maxpool2x2(np.random.default_rng(2).standard_normal((3, 4, 6)))
+        assert mask.rows.dtype == bool and mask.cols.dtype == bool
+
     def test_table_shape_28_to_14(self):
         out, _ = maxpool2x2(np.zeros((6, 28, 28)))
         assert out.shape == (6, 14, 14)

@@ -9,6 +9,7 @@ from blprs.data import Dataset, LabelMap, Sample, SynthSpec, generate_synthetic
 from blprs.layers import LayerState
 from blprs.network import NetworkConfig, build_network
 from blprs.training import (
+    DivergenceError,
     TrainConfig,
     evaluate,
     sgd_update,
@@ -212,6 +213,14 @@ class TestTrain:
         _, report = train(net, ds, tc)
         e = report.per_epoch_error
         assert e[-1] < 0.5 * e[0]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_divergence_names_the_epoch(self):
+        ds = generate_synthetic(SynthSpec(per_class_count=2, seed=1), LabelMap())
+        net = build_network(NetworkConfig(), 1)
+        with pytest.raises(DivergenceError, match="epoch 1 "):
+            train(net, ds, TrainConfig(epochs=3, learning_rate=1e300))
 
     def test_empty_dataset_rejected(self):
         net = build_network(SMALL_NET, 1)
