@@ -15,6 +15,7 @@ round-trip reproduces every prediction bit-exactly.
 """
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -80,11 +81,13 @@ def save_checkpoint(net: Network, labels: LabelMap, path) -> None:
 
 class _Reader:
     def __init__(self, raw: bytes, path):
-        self.raw = raw
+        # Slices of a memoryview share the file's buffer, so each array is
+        # copied once, by the astype in floats().
+        self.raw = memoryview(raw)
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.raw):
             raise TruncatedCheckpointError(
                 f"{self.path}: truncated at byte {self.pos} (needed {n} more)"
@@ -96,8 +99,9 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def floats(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(count * 8), dtype="<f8").astype(np.float64)
+    def floats(self, *shape: int) -> np.ndarray:
+        raw = self.take(math.prod(shape) * 8)
+        return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def load_checkpoint(path):
@@ -146,7 +150,7 @@ def load_checkpoint(path):
                 f"{path}: weight shape {dims} does not match config-implied "
                 f"{shape}"
             )
-        weights = r.floats(int(np.prod(dims))).reshape(dims)
+        weights = r.floats(*dims)
         bias_count = r.u32()
         if bias_count != shape[0]:
             raise ShapeMismatchError(
@@ -160,7 +164,7 @@ def load_checkpoint(path):
     if r.pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - r.pos} trailing bytes")
     try:
-        labels = LabelMap(tuple(b.decode("utf-8") for b in label_bytes))
+        labels = LabelMap(tuple(bytes(b).decode("utf-8") for b in label_bytes))
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid label map: {exc}") from None
     if len(labels) != classes:

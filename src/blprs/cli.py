@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -147,6 +148,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blprs",

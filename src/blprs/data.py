@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +21,9 @@ from .tensor import Tensor, as_tensor
 
 IMAGE_SIZE = 32
 PNM_MAX_FIELD_DIGITS = 9  # far below the digit limit of Python's int()
+# One header field: skip whitespace and '#' comments, then take the run of
+# non-whitespace bytes. The class is exactly what bytes.isspace() accepts.
+_PNM_FIELD = re.compile(rb"(?:[ \t\n\r\x0b\x0c]+|#[^\n]*)*([^ \t\n\r\x0b\x0c]*)")
 
 # Bangla digits 0-9; the six letter slots are placeholders a deployment
 # overrides with the plate letters it actually encounters.
@@ -103,17 +107,10 @@ def read_pnm(path) -> np.ndarray:
         raise ValueError(f"{path}: not a binary PGM/PPM file")
     channels = 1 if raw[:2] == b"P5" else 3
     pos, fields = 2, []
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
+    for _ in range(3):
+        m = _PNM_FIELD.match(raw, pos)
+        fields.append(m[1])
+        pos = m.end()
     if not all(f.isdigit() for f in fields):
         raise ValueError(f"{path}: malformed header")
     if max(map(len, fields)) > PNM_MAX_FIELD_DIGITS:
@@ -154,7 +151,11 @@ def _atomic_write(path, payload: bytes) -> None:
 # Normalization
 
 def normalize_image(raw: np.ndarray) -> Tensor:
-    """Grayscale-convert (Rec.601 luma), bilinear-resize to 32x32, scale to [0,1]."""
+    """Grayscale-convert (Rec.601 luma), scale to [0,1] and clip, as (1,32,32).
+
+    A 32x32 image is only scaled; any other size is bilinear-resampled to
+    32x32 first. Non-finite pixels are rejected with ValueError.
+    """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim == 3 and raw.shape[2] == 3:
         gray = (0.299 * raw[:, :, 0] + 0.587 * raw[:, :, 1] + 0.114 * raw[:, :, 2])
@@ -164,8 +165,14 @@ def normalize_image(raw: np.ndarray) -> Tensor:
         raise ValueError(f"expected (H,W) or (H,W,3) pixels, got shape {raw.shape}")
     if gray.size == 0:
         raise ValueError("empty image")
-    resized = _bilinear_resize(gray / 255.0, IMAGE_SIZE, IMAGE_SIZE)
-    return np.clip(resized, 0.0, 1.0)[None, :, :]
+    if not np.isfinite(gray).all():
+        raise ValueError("image has non-finite pixels")
+    scaled = gray / 255.0
+    if scaled.shape != (IMAGE_SIZE, IMAGE_SIZE):
+        # At scale 1 the resample is the identity (every weight is 0), so
+        # skipping it for 32x32 input returns the same bytes.
+        scaled = _bilinear_resize(scaled, IMAGE_SIZE, IMAGE_SIZE)
+    return np.clip(scaled, 0.0, 1.0)[None, :, :]
 
 
 def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -203,9 +210,10 @@ def load_dataset_dir(root, labels: LabelMap) -> Dataset:
             raise ValueError(
                 f"{root}: subdirectory {sub.name!r} is not in the label map"
             ) from None
-        for f in sorted(sub.iterdir()):
-            if f.is_file():
-                samples.append(Sample(normalize_image(read_pnm(f)), class_index))
+        with os.scandir(sub) as entries:
+            names = sorted(e.name for e in entries if e.is_file())
+        for name in names:
+            samples.append(Sample(normalize_image(read_pnm(sub / name)), class_index))
     if not samples:
         raise ValueError(f"{root}: no image files found")
     return Dataset(samples=samples, labels=labels)

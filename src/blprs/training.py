@@ -102,6 +102,9 @@ def sgd_update(net: Network, grads: list, learning_rate: float) -> Network:
     return Network(config=net.config, states=states)
 
 
+# A diverging step overflows before the per-batch check can stop it; the
+# check reports that, so numpy's own warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def train(net: Network, train_set: Dataset, config: TrainConfig):
     """Run the SGD loop; returns the trained network and a TrainingReport."""
     n = len(train_set)
@@ -125,7 +128,7 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
         epoch_start = time.perf_counter()
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for lo in range(0, n, config.batch_size):
+        for number, lo in enumerate(range(0, n, config.batch_size), start=1):
             batch = order[lo : lo + config.batch_size]
             for a in acc:
                 if a is not None:
@@ -145,11 +148,14 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
                     a.weights *= inv
                     a.biases *= inv
             net = sgd_update(net, acc, config.learning_rate)
-        if not np.isfinite(epoch_loss) or not all(
-            np.isfinite(s.weights).all() and np.isfinite(s.biases).all()
-            for s in net.states if s is not None
-        ):
-            raise DivergenceError(f"epoch {epoch} diverged: non-finite loss or parameters")
+            if not np.isfinite(epoch_loss) or not all(
+                np.isfinite(s.weights).all() and np.isfinite(s.biases).all()
+                for s in net.states if s is not None
+            ):
+                raise DivergenceError(
+                    f"epoch {epoch} batch {number} diverged: "
+                    "non-finite loss or parameters"
+                )
         per_epoch_error.append(epoch_loss / n)
         per_epoch_seconds.append(time.perf_counter() - epoch_start)
     total = time.perf_counter() - loop_start

@@ -91,6 +91,17 @@ class TestLoad:
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.biases, b.biases)
 
+    def test_loaded_arrays_own_aligned_writable_memory(self, trained_net, tmp_path):
+        path = tmp_path / "o.blpr"
+        save_checkpoint(trained_net, LabelMap(), path)
+        loaded, _ = load_checkpoint(path)
+        for state in loaded.states:
+            if state is None:
+                continue
+            for array in (state.weights, state.biases):
+                assert array.flags.owndata
+                assert array.flags.aligned and array.flags.writeable
+
     def test_bad_magic(self, trained_net, tmp_path):
         path = tmp_path / "bad.blpr"
         save_checkpoint(trained_net, LabelMap(), path)

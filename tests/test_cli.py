@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from blprs.checkpoint import save_checkpoint
@@ -100,8 +102,7 @@ class TestTrainCommand:
         assert "error:" in capsys.readouterr().err
         assert not model.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_diverging_learning_rate_fails_without_checkpoint(
         self, capsys, synth_dir, tmp_path
     ):
@@ -111,7 +112,8 @@ class TestTrainCommand:
             "--lr", "1e300", "--out", str(model),
         ])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: epoch 1 batch \d+ diverged: [^\n]*\n", err)
         assert not model.exists()
 
     def test_missing_data_dir_fails_cleanly(self, capsys, tmp_path):
@@ -184,6 +186,13 @@ class TestInspectCommand:
         out = capsys.readouterr().out
         for value in ("156", "1,812", "90,300", "4,816", "97,084"):
             assert value in out
+
+    def test_repeated_calls_in_one_process_keep_defaults(self, capsys):
+        assert main(["inspect", "--convention", "standard"]) == 0
+        assert "97,084" in capsys.readouterr().out
+        assert main(["inspect"]) == 0
+        out = capsys.readouterr().out
+        assert "total (paper convention): 100,444" in out
 
     def test_unknown_convention_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from blprs.data import (
     PNM_MAX_FIELD_DIGITS,
@@ -11,6 +12,7 @@ from blprs.data import (
     LabelMap,
     Sample,
     SynthSpec,
+    _bilinear_resize,
     base_glyph,
     generate_synthetic,
     load_dataset_dir,
@@ -116,6 +118,28 @@ class TestNormalizeImage:
         with pytest.raises(ValueError):
             normalize_image(np.zeros((0, 5)))
 
+    @pytest.mark.parametrize("size", [32, 40])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_pixels_rejected(self, size, value):
+        raw = np.full((size, size), 100.0)
+        raw[3, 5] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize_image(raw)
+        rgb = np.full((size, size, 3), 100.0)
+        rgb[3, 5, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize_image(rgb)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(raw=hnp.arrays(np.uint8, st.sampled_from([(32, 32), (32, 32, 3)])))
+def test_normalize_32x32_equals_the_resampled_formula(raw):
+    gray = raw.astype(np.float64)
+    if raw.ndim == 3:
+        gray = 0.299 * gray[:, :, 0] + 0.587 * gray[:, :, 1] + 0.114 * gray[:, :, 2]
+    expected = np.clip(_bilinear_resize(gray / 255.0, 32, 32), 0.0, 1.0)[None]
+    assert normalize_image(raw).tobytes() == expected.tobytes()
+
 
 class TestPnmIo:
     def test_pgm_round_trip(self, tmp_path):
@@ -133,8 +157,25 @@ class TestPnmIo:
 
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "img.pgm"
-        path.write_bytes(b"P5\n# made by hand\n2 2\n255\n\x00\x01\x02\x03")
-        assert np.array_equal(read_pnm(path), [[0, 1], [2, 3]])
+        for header in (
+            b"P5\n# made by hand\n2 2\n255\n",
+            b"P5#a\n2\n#b\n2\n#c\n255\n",
+            b"P5\t2\x0b2\x0c255\r",
+            b"P5 \t\x0b\x0c\r\n2\n\n2 # x # y\n\t255\t",
+        ):
+            path.write_bytes(header + b"\x00\x01\x02\x03")
+            assert np.array_equal(read_pnm(path), [[0, 1], [2, 3]])
+
+    @pytest.mark.parametrize("content", [
+        b"P5\n2 2\n# comment at the end of the file",
+        b"P5\n2#3 2\n255\n\x00\x01\x02\x03\x04\x05",
+        b"P5\n2 2 25#5\n\x00\x01\x02\x03",
+    ])
+    def test_malformed_header(self, tmp_path, content):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed header"):
+            read_pnm(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "img.pgm"
@@ -262,6 +303,12 @@ class TestLoadDatasetDir:
         _write_tree(tmp_path, labels, per_class=3)
         ds = load_dataset_dir(tmp_path, labels)
         assert len(ds) == 48
+
+    def test_directory_inside_a_class_is_skipped(self, tmp_path):
+        labels = LabelMap()
+        _write_tree(tmp_path, labels, per_class=2)
+        (tmp_path / labels[0] / "nested").mkdir()
+        assert len(load_dataset_dir(tmp_path, labels)) == 32
 
     def test_unknown_subdirectory_named_in_error(self, tmp_path):
         labels = LabelMap()

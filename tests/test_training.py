@@ -214,8 +214,7 @@ class TestTrain:
         e = report.per_epoch_error
         assert e[-1] < 0.5 * e[0]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_divergence_names_the_epoch(self):
         ds = generate_synthetic(SynthSpec(per_class_count=2, seed=1), LabelMap())
         net = build_network(NetworkConfig(), 1)
