@@ -11,19 +11,20 @@ IEEE-754 binary64):
     label_count, then per label: byte_length, UTF-8 bytes
 
 Identical networks serialize to identical bytes, so a load(save(net))
-round-trip reproduces every prediction bit-exactly.
+round-trip reproduces every prediction bit-exactly. Loading rejects a file
+whose weights or biases hold NaN or +/-inf, naming the file and the layer.
 """
 from __future__ import annotations
 
 import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
 from .data import LabelMap, _atomic_write
 from .layers import LayerState
-from .network import Network, NetworkConfig
+from .network import LAYER_NAMES, Network, NetworkConfig
 
 MAGIC = b"BLPR"
 VERSION = 1
@@ -80,34 +81,44 @@ def save_checkpoint(net: Network, labels: LabelMap, path) -> None:
 
 
 class _Reader:
-    def __init__(self, raw: bytes, path):
-        # Slices of a memoryview share the file's buffer, so each array is
-        # copied once, by the astype in floats().
-        self.raw = memoryview(raw)
+    def __init__(self, file, path):
+        # Arrays are read from the file straight into their own memory, so
+        # each value is copied once.
+        self.file = file
+        self.size = os.fstat(file.fileno()).st_size
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.raw):
+    def _advance(self, n: int) -> None:
+        # Checked before anything is allocated, so a corrupt length cannot
+        # ask for more memory than the file holds.
+        if self.pos + n > self.size:
             raise TruncatedCheckpointError(
                 f"{self.path}: truncated at byte {self.pos} (needed {n} more)"
             )
-        chunk = self.raw[self.pos : self.pos + n]
         self.pos += n
-        return chunk
+
+    def take(self, n: int) -> bytes:
+        self._advance(n)
+        return self.file.read(n)
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
     def floats(self, *shape: int) -> np.ndarray:
-        raw = self.take(math.prod(shape) * 8)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        self._advance(math.prod(shape) * 8)
+        values = np.empty(shape, dtype="<f8")
+        self.file.readinto(values)
+        return values.astype(np.float64, copy=False)
 
 
 def load_checkpoint(path):
     """Reconstruct (Network, LabelMap) from a checkpoint file."""
-    raw = Path(path).read_bytes()
-    r = _Reader(raw, path)
+    with open(path, "rb") as file:
+        return _read_checkpoint(_Reader(file, path), path)
+
+
+def _read_checkpoint(r: _Reader, path):
     if r.take(4) != MAGIC:
         raise BadMagicError(f"{path}: bad magic, not a checkpoint file")
     version = r.take(1)[0]
@@ -139,7 +150,7 @@ def load_checkpoint(path):
             f"file declares {layer_count}"
         )
     states = []
-    for shape in shapes:
+    for name, shape in zip(LAYER_NAMES, shapes):
         if shape is None:
             states.append(None)
             continue
@@ -158,13 +169,15 @@ def load_checkpoint(path):
                 f"{shape[0]}"
             )
         biases = r.floats(bias_count)
+        if not (np.isfinite(weights).all() and np.isfinite(biases).all()):
+            raise CheckpointError(f"{path}: layer {name} has NaN or infinite values")
         states.append(LayerState(weights=weights, biases=biases))
 
     label_bytes = [r.take(r.u32()) for _ in range(r.u32())]
-    if r.pos != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - r.pos} trailing bytes")
+    if r.pos != r.size:
+        raise CheckpointError(f"{path}: {r.size - r.pos} trailing bytes")
     try:
-        labels = LabelMap(tuple(bytes(b).decode("utf-8") for b in label_bytes))
+        labels = LabelMap(tuple(b.decode("utf-8") for b in label_bytes))
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid label map: {exc}") from None
     if len(labels) != classes:

@@ -47,8 +47,11 @@ def export_curve_csv(report: TrainingReport, path) -> None:
 
 
 def _read_labels_file(path) -> LabelMap:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return LabelMap(tuple(line.strip() for line in lines if line.strip()))
+    try:  # UnicodeDecodeError is a ValueError too
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        return LabelMap(tuple(line.strip() for line in lines if line.strip()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_data_dir(root) -> tuple:
@@ -61,6 +64,10 @@ def _load_data_dir(root) -> tuple:
 
 
 def _cmd_train(args) -> int:
+    for path in filter(None, (args.out, args.curve)):
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise ValueError(f"{path}: directory {parent} does not exist")
     dataset, labels = _load_data_dir(args.data)
     train_set, test_set = split_dataset(dataset, args.split, args.seed)
     config = NetworkConfig(dropout_rate=args.dropout)
@@ -159,11 +166,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on a dataset directory")
     p.add_argument("--data", required=True, help="dataset root with labels.txt")
     p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--lr", type=float, default=1.0)
-    p.add_argument("--batch", type=int, default=10)
-    p.add_argument("--dropout", type=float, default=0.5)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--dropout", type=float, default=NetworkConfig.dropout_rate)
     p.add_argument("--split", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", required=True, help="checkpoint file to write")
     p.add_argument("--curve", help="learning-curve CSV to write")
     p.set_defaults(handler=_cmd_train)
@@ -185,13 +192,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset tree")
     p.add_argument("--out", required=True)
     p.add_argument("--per-class", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rotation", type=float, default=15.0, help="max degrees")
-    p.add_argument("--scale-low", type=float, default=0.85)
-    p.add_argument("--scale-high", type=float, default=1.15)
-    p.add_argument("--translate", type=float, default=3.0, help="max pixels")
-    p.add_argument("--shear", type=float, default=0.15)
-    p.add_argument("--noise", type=float, default=0.05)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
+    p.add_argument("--rotation", type=float,
+                   default=SynthSpec.rotation_range_deg[1], help="max degrees")
+    p.add_argument("--scale-low", type=float, default=SynthSpec.scale_range[0])
+    p.add_argument("--scale-high", type=float, default=SynthSpec.scale_range[1])
+    p.add_argument("--translate", type=float,
+                   default=SynthSpec.translate_range_px[1], help="max pixels")
+    p.add_argument("--shear", type=float, default=SynthSpec.shear_range[1])
+    p.add_argument("--noise", type=float, default=SynthSpec.noise_std)
     p.add_argument("--labels", help="16-line UTF-8 label file overriding defaults")
     p.set_defaults(handler=_cmd_synth)
     return parser

@@ -32,6 +32,7 @@ DEFAULT_LABELS = (
     "৫", "৬", "৭", "৮", "৯",
     "ক", "খ", "গ", "ঘ", "ঙ", "চ",
 )
+CLASS_COUNT = len(DEFAULT_LABELS)
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,11 @@ class LabelMap:
     def __post_init__(self):
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
-        if len(labels) != 16:
-            raise ValueError(f"label map needs exactly 16 labels, got {len(labels)}")
-        if len(set(labels)) != 16 or any(not s for s in labels):
+        if len(labels) != CLASS_COUNT:
+            raise ValueError(
+                f"label map needs exactly {CLASS_COUNT} labels, got {len(labels)}"
+            )
+        if len(set(labels)) != len(labels) or any(not s for s in labels):
             raise ValueError("labels must be unique and non-empty")
 
     def __len__(self) -> int:

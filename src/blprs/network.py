@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .data import CLASS_COUNT, IMAGE_SIZE
 from .layers import (
     CONV,
     FC,
@@ -32,16 +33,17 @@ LAYER_NAMES = ("C1", "S1", "C2", "S2", "F1", "F2")
 
 PAPER = "paper"
 STANDARD = "standard"
+_OPERATIONS = {CONV: "Convolution", POOL: "Max-Pooling", FC: "Fully Connected"}
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    input_shape: tuple = (1, 32, 32)
+    input_shape: tuple = (1, IMAGE_SIZE, IMAGE_SIZE)
     conv1_maps: int = 6
     conv2_maps: int = 12
     kernel_size: int = 5
     hidden_units: int = 300
-    class_count: int = 16
+    class_count: int = CLASS_COUNT
     dropout_rate: float = 0.5
     layer_specs: tuple = field(init=False, repr=False, compare=False)
 
@@ -58,39 +60,37 @@ class NetworkConfig:
 
     def shape_chain(self) -> list[tuple]:
         """Per-layer output shapes, input first; raises on an invalid chain."""
-        cin, h, w = self.input_shape
-        k = self.kernel_size
-        shapes = [(cin, h, w)]
-        for maps in (self.conv1_maps, self.conv2_maps):
-            if k > h or k > w:
-                raise ValueError(f"kernel {k}x{k} does not fit input {h}x{w}")
-            h, w = h - k + 1, w - k + 1
-            shapes.append((maps, h, w))
-            if h % 2 or w % 2:
-                raise ValueError(
-                    f"feature map {h}x{w} reaching a 2x2 pool must be even"
-                )
-            h, w = h // 2, w // 2
-            shapes.append((maps, h, w))
-        shapes.append((self.hidden_units,))
-        shapes.append((self.class_count,))
+        shapes = [tuple(self.input_shape)]
+        for spec in self.layer_specs:
+            if spec.kind == FC:
+                shapes.append((spec.out_maps,))
+                continue
+            c, h, w = shapes[-1]
+            if spec.kind == CONV:
+                k = spec.kernel_size
+                if k > h or k > w:
+                    raise ValueError(f"kernel {k}x{k} does not fit input {h}x{w}")
+                shapes.append((spec.out_maps, h - k + 1, w - k + 1))
+            else:
+                if h % 2 or w % 2:
+                    raise ValueError(
+                        f"feature map {h}x{w} reaching a 2x2 pool must be even"
+                    )
+                shapes.append((c, h // 2, w // 2))
         return shapes
-
-    def flatten_size(self) -> int:
-        c, h, w = self.shape_chain()[4]
-        return c * h * w
 
     def param_shapes(self) -> list[Optional[tuple]]:
         """Per-layer weight shape, None for pooling; each bias count is shape[0]."""
-        k = self.kernel_size
-        return [
-            (self.conv1_maps, self.input_shape[0], k, k),
-            None,
-            (self.conv2_maps, self.conv1_maps, k, k),
-            None,
-            (self.hidden_units, self.flatten_size()),
-            (self.class_count, self.hidden_units),
-        ]
+        shapes = []
+        for spec, shape_in in zip(self.layer_specs, self.shape_chain()):
+            if spec.kind == CONV:
+                k = spec.kernel_size
+                shapes.append((spec.out_maps, shape_in[0], k, k))
+            elif spec.kind == FC:
+                shapes.append((spec.out_maps, prod(shape_in)))
+            else:
+                shapes.append(None)
+        return shapes
 
 
 @dataclass
@@ -211,17 +211,16 @@ def count_parameters(config: NetworkConfig, convention: str) -> ParamCountReport
             0 if shape is None else prod(shape) + shape[0]
             for shape in config.param_shapes()
         ]
-    ops = ("Convolution", "Max-Pooling", "Convolution", "Max-Pooling",
-           "Fully Connected", "Fully Connected")
-    windows = (f"{k}x{k}", "2x2", f"{k}x{k}", "2x2", "N/A", "N/A")
     rows = []
-    for i, name in enumerate(LAYER_NAMES):
-        shape = shapes[i + 1]
-        if len(shape) == 3:
-            maps, size = shape[0], f"{shape[1]}x{shape[2]}"
+    for name, spec, shape, count in zip(LAYER_NAMES, config.layer_specs,
+                                        shapes[1:], counts):
+        size = f"{shape[1]}x{shape[2]}" if len(shape) == 3 else "1x1"
+        if spec.kind == CONV:
+            window = f"{spec.kernel_size}x{spec.kernel_size}"
         else:
-            maps, size = shape[0], "1x1"
-        rows.append(LayerCount(name, ops[i], maps, size, windows[i], counts[i]))
+            window = "2x2" if spec.kind == POOL else "N/A"
+        rows.append(LayerCount(name, _OPERATIONS[spec.kind], shape[0], size,
+                               window, count))
     return ParamCountReport(
         convention=convention, layers=tuple(rows), total=sum(counts)
     )

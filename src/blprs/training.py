@@ -81,32 +81,30 @@ def split_dataset(ds: Dataset, train_fraction: float, seed: int):
 
 
 def sgd_update(net: Network, grads: list, learning_rate: float) -> Network:
-    """Elementwise w <- w - lr*g over every weight and bias; returns a new net."""
-    states = []
-    for state, grad in zip(net.states, grads):
-        if state is None:
-            states.append(None)
-            continue
+    """In place, w <- w - lr*g over every weight and bias; returns ``net``.
+
+    Every shape is checked before any array changes.
+    """
+    pairs = [(s, g) for s, g in zip(net.states, grads) if s is not None]
+    for state, grad in pairs:
         if (
             grad is None
             or grad.weights.shape != state.weights.shape
             or grad.biases.shape != state.biases.shape
         ):
             raise ValueError("gradient shapes do not match network state")
-        states.append(
-            LayerState(
-                weights=state.weights - learning_rate * grad.weights,
-                biases=state.biases - learning_rate * grad.biases,
-            )
-        )
-    return Network(config=net.config, states=states)
+    for state, grad in pairs:
+        state.weights -= learning_rate * grad.weights
+        state.biases -= learning_rate * grad.biases
+    return net
 
 
 # A diverging step overflows before the per-batch check can stop it; the
 # check reports that, so numpy's own warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore")
 def train(net: Network, train_set: Dataset, config: TrainConfig):
-    """Run the SGD loop; returns the trained network and a TrainingReport."""
+    """Run the SGD loop on a copy of ``net``, which is left unchanged;
+    returns the trained copy and a TrainingReport."""
     n = len(train_set)
     if n == 0:
         raise ValueError("training set is empty")
@@ -115,6 +113,11 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
     classes = net.config.class_count
     targets = [one_hot(s.class_index, classes) for s in train_set.samples]
     rng = np.random.default_rng(config.seed)
+    net = Network(config=net.config, states=[
+        None if s is None else LayerState(np.array(s.weights, dtype=np.float64),
+                                          np.array(s.biases, dtype=np.float64))
+        for s in net.states
+    ])
     acc = [
         None if s is None else LayerState(np.empty_like(s.weights),
                                           np.empty_like(s.biases))
@@ -147,7 +150,7 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
                 if a is not None:
                     a.weights *= inv
                     a.biases *= inv
-            net = sgd_update(net, acc, config.learning_rate)
+            sgd_update(net, acc, config.learning_rate)
             if not np.isfinite(epoch_loss) or not all(
                 np.isfinite(s.weights).all() and np.isfinite(s.biases).all()
                 for s in net.states if s is not None

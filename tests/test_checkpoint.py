@@ -140,6 +140,24 @@ class TestLoad:
             with pytest.raises(TruncatedCheckpointError):
                 load_checkpoint(path)
 
+    def test_huge_declared_layer_is_truncated_before_allocation(self, tmp_path):
+        path = tmp_path / "big.blpr"
+        save_checkpoint(build_network(NetworkConfig(), seed=2), LabelMap(), path)
+        raw = bytearray(path.read_bytes())
+        huge = 1 << 31  # F1 would need 5 TB
+        struct.pack_into("<I", raw, 4 + 1 + 6 * 4, huge)  # hidden_units
+        pos = 4 + 1 + 8 * 4 + 8 + 4
+        for _ in range(2):  # skip the C1 and C2 records
+            (ndim,) = struct.unpack_from("<I", raw, pos)
+            dims = struct.unpack_from(f"<{ndim}I", raw, pos + 4)
+            pos += 4 + 4 * ndim + 8 * int(np.prod(dims))
+            (bias_count,) = struct.unpack_from("<I", raw, pos)
+            pos += 4 + 8 * bias_count
+        struct.pack_into("<I", raw, pos + 4, huge)  # F1 weight rows
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TruncatedCheckpointError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
     def test_shape_inconsistency(self, trained_net, tmp_path):
         path = tmp_path / "sh.blpr"
         save_checkpoint(trained_net, LabelMap(), path)
@@ -194,6 +212,20 @@ class TestLoad:
         save_checkpoint(build_network(NetworkConfig(class_count=20), seed=1),
                         LabelMap(), path)
         with pytest.raises(ShapeMismatchError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("layer, name", [(0, "C1"), (2, "C2"), (4, "F1"), (5, "F2")])
+    @pytest.mark.parametrize("part", ["weights", "biases"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter_names_file_and_layer(
+        self, tmp_path, layer, name, part, bad
+    ):
+        net = build_network(NetworkConfig(), seed=4)
+        getattr(net.states[layer], part).flat[1] = bad
+        path = tmp_path / "nf.blpr"
+        save_checkpoint(net, LabelMap(), path)
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"{path}: layer {name} ")):
             load_checkpoint(path)
 
     def test_every_bit_flip_in_tail_loads_or_raises_checkpoint_error(

@@ -50,6 +50,16 @@ class TestSynth:
         b = (other / label / "00000.pgm").read_bytes()
         assert a == b
 
+    def test_bad_labels_flag_names_the_file(self, capsys, tmp_path):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("a\nb\n", encoding="utf-8")
+        out = tmp_path / "ds"
+        assert main(["synth", "--out", str(out), "--labels", str(labels)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {labels}:")
+        assert "got 2" in err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_prints_report_columns(self, capsys, synth_dir, tmp_path):
@@ -116,6 +126,38 @@ class TestTrainCommand:
         assert re.fullmatch(r"error: epoch 1 batch \d+ diverged: [^\n]*\n", err)
         assert not model.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--curve"])
+    def test_missing_output_directory_fails_before_training(
+        self, capsys, synth_dir, tmp_path, flag
+    ):
+        model = tmp_path / "m.blpr"
+        paths = {"--out": str(model), "--curve": str(tmp_path / "c.csv")}
+        paths[flag] = str(tmp_path / "nodir" / "x")
+        code = main(["train", "--data", str(synth_dir), "--epochs", "1",
+                     "--out", paths["--out"], "--curve", paths["--curve"]])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {paths[flag]}:")
+        assert captured.out == ""
+        assert not model.exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe\n", "utf-8"),
+        ("\n".join(LabelMap().labels[:15]).encode("utf-8"), "got 15"),
+    ], ids=["not-utf8", "15-labels"])
+    def test_bad_labels_file_names_the_file(
+        self, capsys, tmp_path, content, message
+    ):
+        data = tmp_path / "d"
+        data.mkdir()
+        (data / "labels.txt").write_bytes(content)
+        code = main(["train", "--data", str(data), "--epochs", "1",
+                     "--out", str(tmp_path / "m.blpr")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data / 'labels.txt'}:")
+        assert message in err
+
     def test_missing_data_dir_fails_cleanly(self, capsys, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope"),
                      "--epochs", "1", "--out", str(tmp_path / "m.blpr")])
@@ -157,6 +199,17 @@ class TestPredictCommand:
         assert err.startswith("error:") and str(model) in err
         assert "Traceback" not in err
 
+    def test_non_finite_checkpoint_fails_cleanly(self, capsys, synth_dir, tmp_path):
+        net = build_network(NetworkConfig(), seed=1)
+        net.states[-1].weights[3, 0] = float("nan")
+        model = tmp_path / "nan.blpr"
+        save_checkpoint(net, LabelMap(), model)
+        image = next((synth_dir / LabelMap()[0]).glob("*.pgm"))
+        assert main(["predict", "--model", str(model), "--image", str(image)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {model}:")
+        assert "F2" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("content", [
         b"P5\n0 0\n255\n",

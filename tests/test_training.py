@@ -1,3 +1,4 @@
+import copy
 import hashlib
 
 import numpy as np
@@ -85,6 +86,8 @@ class TestSplitDataset:
 
 
 class TestSgdUpdate:
+    # sgd_update changes the net it is given, so each case updates a copy
+    # and compares it against the untouched original.
     def test_zero_learning_rate_is_identity(self):
         net = build_network(SMALL_NET, 1)
         grads = [
@@ -92,7 +95,7 @@ class TestSgdUpdate:
                                               np.ones_like(s.biases))
             for s in net.states
         ]
-        updated = sgd_update(net, grads, 0.0)
+        updated = sgd_update(copy.deepcopy(net), grads, 0.0)
         for a, b in zip(net.states, updated.states):
             if a is not None:
                 assert np.array_equal(a.weights, b.weights)
@@ -107,7 +110,7 @@ class TestSgdUpdate:
             for s in net.states
         ]
         grads[0].weights[0, 0, 0, 0] = 0.5
-        updated = sgd_update(net, grads, 1.0)
+        updated = sgd_update(copy.deepcopy(net), grads, 1.0)
         assert updated.states[0].weights[0, 0, 0, 0] == 0.5
 
     def test_matches_elementwise_oracle(self):
@@ -119,12 +122,24 @@ class TestSgdUpdate:
             for s in net.states
         ]
         lr = 0.37
-        updated = sgd_update(net, grads, lr)
+        updated = sgd_update(copy.deepcopy(net), grads, lr)
         for s, g, u in zip(net.states, grads, updated.states):
             if s is None:
                 continue
             assert np.max(np.abs(u.weights - (s.weights - lr * g.weights))) < 1e-15
             assert np.max(np.abs(u.biases - (s.biases - lr * g.biases))) < 1e-15
+
+    def test_updates_the_given_arrays_in_place(self):
+        net = build_network(SMALL_NET, 6)
+        arrays = [a for s in net.states if s is not None for a in (s.weights, s.biases)]
+        grads = [
+            None if s is None else LayerState(np.ones_like(s.weights),
+                                              np.ones_like(s.biases))
+            for s in net.states
+        ]
+        assert sgd_update(net, grads, 0.25) is net
+        after = [a for s in net.states if s is not None for a in (s.weights, s.biases)]
+        assert all(a is b for a, b in zip(arrays, after))
 
     def test_two_half_steps_equal_one_full_step(self):
         # dyadic values (k/1024) with a power-of-two rate keep every IEEE
@@ -143,8 +158,8 @@ class TestSgdUpdate:
             for s in net.states
         ]
         lr = 0.5
-        once = sgd_update(net, grads, lr)
-        twice = sgd_update(sgd_update(net, grads, lr / 2), grads, lr / 2)
+        once = sgd_update(copy.deepcopy(net), grads, lr)
+        twice = sgd_update(sgd_update(copy.deepcopy(net), grads, lr / 2), grads, lr / 2)
         for a, b in zip(once.states, twice.states):
             if a is not None:
                 assert np.array_equal(a.weights, b.weights)
@@ -152,12 +167,20 @@ class TestSgdUpdate:
 
     def test_shape_mismatch_rejected(self):
         net = build_network(SMALL_NET, 5)
+        before = copy.deepcopy(net)
         grads = [
-            None if s is None else LayerState(np.zeros((1, 1)), np.zeros(1))
+            None if s is None else LayerState(np.ones_like(s.weights),
+                                              np.ones_like(s.biases))
             for s in net.states
         ]
+        grads[-1] = LayerState(np.zeros((1, 1)), np.zeros(1))
         with pytest.raises(ValueError):
             sgd_update(net, grads, 0.1)
+        # the check runs before any array changes
+        for a, b in zip(net.states, before.states):
+            if a is not None:
+                assert np.array_equal(a.weights, b.weights)
+                assert np.array_equal(a.biases, b.biases)
 
 
 class TestTrain:
@@ -189,6 +212,17 @@ class TestTrain:
             if a is not None:
                 assert np.array_equal(a.weights, b.weights)
                 assert np.array_equal(a.biases, b.biases)
+
+    def test_input_network_left_bit_identical(self):
+        ds = generate_synthetic(SynthSpec(per_class_count=2, seed=5), LabelMap())
+        net = build_network(NetworkConfig(), seed=8)
+        before = copy.deepcopy(net)
+        trained, _ = train(net, ds, TrainConfig(epochs=2, seed=5))
+        for a, b, t in zip(net.states, before.states, trained.states):
+            if a is not None:
+                assert a.weights.tobytes() == b.weights.tobytes()
+                assert a.biases.tobytes() == b.biases.tobytes()
+                assert not np.array_equal(t.weights, a.weights)
 
     def test_two_epochs_match_golden_checkpoint_and_losses(self, tmp_path):
         # Any change to summation order, the dropout draw or the update rule
