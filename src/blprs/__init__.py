@@ -28,6 +28,7 @@ from .network import (
     network_backward,
     network_forward,
     predict,
+    stack_traces,
 )
 from .data import (
     Dataset,
@@ -57,6 +58,7 @@ __all__ = [
     "layer_backward", "layer_forward", "mse_loss",
     "Network", "NetworkConfig", "ParamCountReport", "build_network",
     "count_parameters", "network_backward", "network_forward", "predict",
+    "stack_traces",
     "Dataset", "LabelMap", "Sample", "SynthSpec", "generate_synthetic",
     "load_dataset_dir", "normalize_image", "one_hot",
     "EvalReport", "TrainConfig", "TrainingReport", "evaluate", "sgd_update",

@@ -68,6 +68,8 @@ def _cmd_train(args) -> int:
         parent = Path(path).parent
         if not parent.is_dir():
             raise ValueError(f"{path}: directory {parent} does not exist")
+        if Path(path).is_dir():
+            raise ValueError(f"{path}: is a directory, not a file path")
     dataset, labels = _load_data_dir(args.data)
     train_set, test_set = split_dataset(dataset, args.split, args.seed)
     config = NetworkConfig(dropout_rate=args.dropout)

@@ -9,6 +9,7 @@ for a real collection of plate-character crops.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -144,10 +145,16 @@ def write_pgm(path, pixels: np.ndarray) -> None:
 
 
 def _atomic_write(path, payload: bytes) -> None:
+    """Write through a sibling ``.tmp`` file, which is removed if anything fails."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 # ---------------------------------------------------------------------------

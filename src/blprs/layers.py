@@ -3,6 +3,10 @@
 Three layer kinds: convolution (valid 5x5-style), 2x2 max-pooling, and
 fully connected. Sigmoid is the only nonlinearity; dropout applies exactly
 when an rng is given, with inverted scaling so no rng means the identity.
+
+``layer_forward`` runs one image. ``layer_backward`` runs one image or a
+mini-batch: a trace whose arrays carry a leading batch axis gives
+parameter gradients summed over that batch.
 """
 from __future__ import annotations
 
@@ -67,9 +71,14 @@ class LayerState:
 
 @dataclass
 class ForwardTrace:
-    """Exactly the values the matching backward call needs."""
+    """The values the matching backward call needs.
 
-    input: Tensor
+    Pooling needs only its mask and ``input_shape``, so a stacked batch
+    trace leaves its ``input`` None.
+    """
+
+    input: Optional[Tensor]
+    input_shape: tuple
     post_activation: Optional[Tensor] = None
     pool_mask: Optional[ArgmaxMask] = None
     dropout_mask: Optional[Tensor] = None
@@ -93,7 +102,7 @@ def layer_forward(
 ) -> tuple[Tensor, ForwardTrace]:
     """Run one layer forward; dropout applies exactly when an rng is given."""
     x = as_tensor(x)
-    trace = ForwardTrace(input=x)
+    trace = ForwardTrace(input=x, input_shape=x.shape)
 
     if spec.kind == CONV:
         out = conv2d_valid(x, state.weights, state.biases)
@@ -131,7 +140,9 @@ def layer_backward(
 ) -> tuple[Optional[Tensor], Optional[LayerState]]:
     """Backpropagate through one layer; returns (grad_input, param grads).
 
-    With ``input_grad=False`` a convolution skips grad_input and returns None.
+    A trace with a leading batch axis takes a ``grad_out`` with the same
+    axis and gives parameter gradients summed over it in image order. With
+    ``input_grad=False`` a convolution skips grad_input and returns None.
     """
     grad_out = as_tensor(grad_out)
     if grad_out.shape != trace.output_shape:
@@ -157,12 +168,14 @@ def layer_backward(
     if spec.kind == POOL:
         if trace.pool_mask is None:
             raise ValueError("trace is missing the pooling mask this spec requires")
-        return maxpool2x2_backward(g, trace.pool_mask, trace.input.shape), None
-    # FC
-    v = trace.input.ravel()
-    grad_w = np.outer(g, v)
-    grad_input = (state.weights.T @ g).reshape(trace.input.shape)
-    return grad_input, LayerState(weights=grad_w, biases=g.copy())
+        return maxpool2x2_backward(g, trace.pool_mask, trace.input_shape), None
+    # FC. Rows are images. The einsum adds the per-image outer products in
+    # image order from +0.0; one G.T @ V GEMM would round differently.
+    g = g.reshape(-1, state.weights.shape[0])
+    v = trace.input.reshape(len(g), -1)
+    grad_w = np.einsum("ni,nj->ij", g, v)
+    grad_input = np.matmul(state.weights.T, g[:, :, None]).reshape(trace.input_shape)
+    return grad_input, LayerState(weights=grad_w, biases=g.sum(axis=0, initial=0.0))
 
 
 def mse_loss(output: Tensor, target: Tensor) -> tuple[float, Tensor]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .layers import (
     layer_backward,
     layer_forward,
 )
-from .tensor import Tensor, as_tensor
+from .tensor import ArgmaxMask, Tensor, as_tensor
 
 LAYER_NAMES = ("C1", "S1", "C2", "S2", "F1", "F2")
 
@@ -140,10 +140,38 @@ def network_forward(
     return out, traces
 
 
+def stack_traces(per_image: Sequence[list[ForwardTrace]]) -> list[ForwardTrace]:
+    """One trace per layer holding every image's values along a leading axis."""
+    def stack(values):
+        return None if values[0] is None else np.stack(values)
+
+    batch = []
+    for layer in zip(*per_image):
+        first = layer[0]
+        pool = first.pool_mask is not None
+        mask = None
+        if pool:
+            mask = ArgmaxMask(rows=stack([t.pool_mask.rows for t in layer]),
+                              cols=stack([t.pool_mask.cols for t in layer]))
+        batch.append(ForwardTrace(
+            input=None if pool else stack([t.input for t in layer]),
+            input_shape=(len(layer), *first.input_shape),
+            post_activation=stack([t.post_activation for t in layer]),
+            pool_mask=mask,
+            dropout_mask=stack([t.dropout_mask for t in layer]),
+            output_shape=(len(layer), *first.output_shape),
+        ))
+    return batch
+
+
 def network_backward(
     net: Network, traces: list[ForwardTrace], target: Tensor
 ) -> list:
-    """Gradients of the half-sum-of-squares loss w.r.t. every weight and bias."""
+    """Gradients of the half-sum-of-squares loss w.r.t. every weight and bias.
+
+    Takes one image's traces and target, or ``stack_traces`` of a mini-batch
+    and the stacked targets; a batch's gradients are summed over its images.
+    """
     target = as_tensor(target)
     scores_shape = traces[-1].output_shape
     if target.shape != scores_shape:

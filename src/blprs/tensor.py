@@ -5,6 +5,10 @@ Every operation here is a pure function: valid convolution (stride 1, no
 padding, every output map sums over all input maps), disjoint 2x2
 max-pooling with an argmax mask for the backward pass, and the logistic
 sigmoid.
+
+The backward kernels take images as ``(..., C, H, W)``: a per-image call
+has no leading axis and a mini-batch has one. Parameter gradients are
+summed over the batch in image order, starting from +0.0.
 """
 from __future__ import annotations
 
@@ -62,14 +66,15 @@ class ArgmaxMask:
 
 
 def _im2col(x: Tensor, k: int) -> np.ndarray:
-    """Unfold (C,H,W) into the (C*k*k, OH*OW) matrix of sliding windows."""
-    c, h, w = x.shape
+    """Unfold (..., C,H,W) into (..., C*k*k, OH*OW) matrices of sliding windows."""
+    *lead, c, h, w = x.shape
     oh, ow = h - k + 1, w - k + 1
-    s0, s1, s2 = x.strides
+    *lead_strides, s0, s1, s2 = x.strides
     windows = np.lib.stride_tricks.as_strided(
-        x, shape=(c, k, k, oh, ow), strides=(s0, s1, s2, s1, s2)
+        x, shape=(*lead, c, k, k, oh, ow),
+        strides=(*lead_strides, s0, s1, s2, s1, s2),
     )
-    return windows.reshape(c * k * k, oh * ow)
+    return windows.reshape(*lead, c * k * k, oh * ow)
 
 
 def conv2d_valid(x: Tensor, kernels: Tensor, biases: Sequence[float]) -> Tensor:
@@ -107,36 +112,45 @@ def conv2d_backward(
 ) -> tuple[Optional[Tensor], Tensor, np.ndarray]:
     """Analytic gradients of conv2d_valid w.r.t. input, kernels and biases.
 
-    With ``input_grad=False`` the input gradient is skipped and returned as
+    ``x`` is (..., Cin,H,W) and ``grad_out`` the matching (..., Cout,OH,OW);
+    the kernel and bias gradients are summed over the leading axis. With
+    ``input_grad=False`` the input gradient is skipped and returned as
     None; the first layer of a network has no use for it.
     """
     x = as_tensor(x)
     kernels = as_tensor(kernels)
     grad_out = as_tensor(grad_out)
     cout, cin, k, _ = kernels.shape
-    oh, ow = x.shape[1] - k + 1, x.shape[2] - k + 1
-    if grad_out.shape != (cout, oh, ow):
+    h, w = x.shape[-2:]
+    oh, ow = h - k + 1, w - k + 1
+    if grad_out.shape != (*x.shape[:-3], cout, oh, ow):
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match forward "
-            f"output ({cout},{oh},{ow})"
+            f"output {(*x.shape[:-3], cout, oh, ow)}"
         )
-    g = grad_out.reshape(cout, -1)
-    grad_kernels = (g @ _im2col(x, k).T).reshape(kernels.shape)
-    grad_biases = g.sum(axis=1)
+    g = grad_out.reshape(-1, cout, oh * ow)
+    cols = _im2col(x.reshape(-1, cin, h, w), k)
+    grad_kernels = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0, initial=0.0)
+    grad_kernels = grad_kernels.reshape(kernels.shape)
+    grad_biases = g.sum(axis=2).sum(axis=0, initial=0.0)
     if not input_grad:
         return None, grad_kernels, grad_biases
     # Input gradient = full correlation of grad_out with spatially flipped
-    # kernels, summed over output maps.
-    padded = np.zeros((cout, oh + 2 * (k - 1), ow + 2 * (k - 1)))
-    padded[:, k - 1 : k - 1 + oh, k - 1 : k - 1 + ow] = grad_out
+    # kernels, summed over output maps. One image at a time: the batch's
+    # unfolded padded gradients would not stay in cache.
+    padded = np.zeros((len(g), cout, oh + 2 * (k - 1), ow + 2 * (k - 1)))
+    padded[:, :, k - 1 : k - 1 + oh, k - 1 : k - 1 + ow] = g.reshape(-1, cout, oh, ow)
     flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-    grad_input = (flipped @ _im2col(padded, k)).reshape(x.shape)
-    return grad_input, grad_kernels, grad_biases
+    grad_input = np.empty((len(g), cin, h * w))
+    for image, out in zip(padded, grad_input):
+        np.matmul(flipped, _im2col(image, k), out=out)
+    return grad_input.reshape(x.shape), grad_kernels, grad_biases
 
 
 def _quarters(x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """The four strided views of every 2x2 window, in row-major order."""
-    return x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
+    return (x[..., 0::2, 0::2], x[..., 0::2, 1::2],
+            x[..., 1::2, 0::2], x[..., 1::2, 1::2])
 
 
 def _takes(incumbent: Tensor, challenger: Tensor) -> np.ndarray:
@@ -175,20 +189,23 @@ def maxpool2x2(x: Tensor) -> tuple[Tensor, ArgmaxMask]:
 def maxpool2x2_backward(
     grad_out: Tensor, mask: ArgmaxMask, input_shape: Sequence[int]
 ) -> Tensor:
-    """Route each pooled gradient back to its recorded argmax position."""
+    """Route each pooled gradient back to its recorded argmax position.
+
+    ``input_shape`` is the forward input's (..., C,H,W).
+    """
     grad_out = as_tensor(grad_out)
-    c, h, w = (int(d) for d in input_shape)
-    if grad_out.shape != (c, h // 2, w // 2) or mask.shape != grad_out.shape:
+    *lead, c, h, w = (int(d) for d in input_shape)
+    if grad_out.shape != (*lead, c, h // 2, w // 2) or mask.shape != grad_out.shape:
         raise ValueError(
             f"grad_out {grad_out.shape} / mask {mask.shape} do not match "
-            f"input shape {(c, h, w)}"
+            f"input shape {tuple(input_shape)}"
         )
     row, col = mask.rows, mask.cols
     # np.where, not a product with the mask: the product writes -0.0 where a
     # negative gradient meets a losing position.
     top = np.where(row, 0.0, grad_out)
     bottom = np.where(row, grad_out, 0.0)
-    grad_input = np.empty((c, h, w))
+    grad_input = np.empty((*lead, c, h, w))
     top_left, top_right, bottom_left, bottom_right = _quarters(grad_input)
     top_left[...] = np.where(col, 0.0, top)
     top_right[...] = np.where(col, top, 0.0)

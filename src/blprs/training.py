@@ -1,7 +1,10 @@
 """Dataset splitting, the SGD training loop, and test-set evaluation.
 
-Training iterates seeded-shuffled mini-batches, averages per-sample
-gradients over each batch, and applies one plain SGD step per batch.
+Training iterates seeded-shuffled mini-batches and applies one plain SGD
+step per batch. The forward pass runs image by image, drawing each image's
+dropout mask in turn; the backward pass runs once per mini-batch on the
+stacked traces (so its memory grows with the batch size), and its summed
+gradients are averaged over the batch.
 The per-epoch mean sample loss and wall time feed the learning-curve and
 timing reports.
 """
@@ -14,7 +17,13 @@ import numpy as np
 
 from .data import Dataset, one_hot
 from .layers import LayerState, mse_loss
-from .network import Network, network_backward, network_forward, predict
+from .network import (
+    Network,
+    network_backward,
+    network_forward,
+    predict,
+    stack_traces,
+)
 
 
 class DivergenceError(ValueError):
@@ -111,18 +120,13 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
     if config.batch_size > n:
         raise ValueError(f"batch size {config.batch_size} exceeds dataset size {n}")
     classes = net.config.class_count
-    targets = [one_hot(s.class_index, classes) for s in train_set.samples]
+    targets = np.stack([one_hot(s.class_index, classes) for s in train_set.samples])
     rng = np.random.default_rng(config.seed)
     net = Network(config=net.config, states=[
         None if s is None else LayerState(np.array(s.weights, dtype=np.float64),
                                           np.array(s.biases, dtype=np.float64))
         for s in net.states
     ])
-    acc = [
-        None if s is None else LayerState(np.empty_like(s.weights),
-                                          np.empty_like(s.biases))
-        for s in net.states
-    ]
 
     per_epoch_error = []
     per_epoch_seconds = []
@@ -133,24 +137,19 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
         epoch_loss = 0.0
         for number, lo in enumerate(range(0, n, config.batch_size), start=1):
             batch = order[lo : lo + config.batch_size]
-            for a in acc:
-                if a is not None:
-                    a.weights.fill(0.0)
-                    a.biases.fill(0.0)
+            traces = []
             for i in batch:
-                scores, traces = network_forward(net, train_set.samples[i].image, rng)
+                scores, image_traces = network_forward(net, train_set.samples[i].image, rng)
                 loss, _ = mse_loss(scores, targets[i])
                 epoch_loss += loss
-                for a, g in zip(acc, network_backward(net, traces, targets[i])):
-                    if a is not None:
-                        a.weights += g.weights
-                        a.biases += g.biases
+                traces.append(image_traces)
+            grads = network_backward(net, stack_traces(traces), targets[batch])
             inv = 1.0 / len(batch)
-            for a in acc:
-                if a is not None:
-                    a.weights *= inv
-                    a.biases *= inv
-            sgd_update(net, acc, config.learning_rate)
+            for g in grads:
+                if g is not None:
+                    g.weights *= inv
+                    g.biases *= inv
+            sgd_update(net, grads, config.learning_rate)
             if not np.isfinite(epoch_loss) or not all(
                 np.isfinite(s.weights).all() and np.isfinite(s.biases).all()
                 for s in net.states if s is not None

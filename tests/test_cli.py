@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+import blprs.cli as cli_module
 from blprs.checkpoint import save_checkpoint
 from blprs.cli import export_curve_csv, main
 from blprs.data import LabelMap
@@ -140,6 +141,24 @@ class TestTrainCommand:
         assert captured.err.startswith(f"error: {paths[flag]}:")
         assert captured.out == ""
         assert not model.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--curve"])
+    def test_existing_directory_as_output_fails_before_training(
+        self, capsys, monkeypatch, synth_dir, tmp_path, flag
+    ):
+        def no_training(*args):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(cli_module, "train", no_training)
+        paths = {"--out": tmp_path / "m.blpr", "--curve": tmp_path / "c.csv"}
+        paths[flag].mkdir()
+        code = main(["train", "--data", str(synth_dir), "--epochs", "1",
+                     "--out", str(paths["--out"]), "--curve", str(paths["--curve"])])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {paths[flag]}:")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == [paths[flag].name]
 
     @pytest.mark.parametrize("content, message", [
         (b"\xff\xfe\n", "utf-8"),

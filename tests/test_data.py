@@ -12,6 +12,7 @@ from blprs.data import (
     LabelMap,
     Sample,
     SynthSpec,
+    _atomic_write,
     _bilinear_resize,
     base_glyph,
     generate_synthetic,
@@ -139,6 +140,33 @@ def test_normalize_32x32_equals_the_resampled_formula(raw):
         gray = 0.299 * gray[:, :, 0] + 0.587 * gray[:, :, 1] + 0.114 * gray[:, :, 2]
     expected = np.clip(_bilinear_resize(gray / 255.0, 32, 32), 0.0, 1.0)[None]
     assert normalize_image(raw).tobytes() == expected.tobytes()
+
+
+class TestAtomicWrite:
+    def test_replaces_the_target(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"old")
+        _atomic_write(path, b"new")
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
+
+    def test_failed_replace_removes_the_temporary_file(self, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            _atomic_write(target, b"payload")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_failed_write_removes_the_temporary_file(self, tmp_path, monkeypatch):
+        def full_disk(self, data):
+            with open(self, "wb") as f:
+                f.write(data[:1])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(type(tmp_path), "write_bytes", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            _atomic_write(tmp_path / "f.bin", b"payload")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPnmIo:

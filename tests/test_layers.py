@@ -5,6 +5,7 @@ from blprs.layers import (
     CONV,
     FC,
     POOL,
+    ForwardTrace,
     LayerSpec,
     LayerState,
     dropout_mask,
@@ -159,6 +160,39 @@ class TestLayerBackward:
             if grads is not None:
                 assert gradient_gap(grads.weights,
                                     numeric_gradient(loss, state.weights)) < 1e-5
+
+
+class TestFullyConnectedBatchOrder:
+    """The batched FC backward must round exactly as the per-image one did:
+    a weight gradient made by adding np.outer(g_i, v_i) into +0.0 in image
+    order. A numpy whose einsum sums in another order fails here by name."""
+
+    @pytest.mark.parametrize("units, input_shape", [(300, (12, 5, 5)), (16, (300,))],
+                             ids=["F1", "F2"])
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_gradients_match_in_order_outer_sum_bitwise(self, units, input_shape, n):
+        rng = np.random.default_rng(n)
+        inputs = int(np.prod(input_shape))
+        g = rng.standard_normal((n, units))
+        g[rng.random(g.shape) < 0.5] = 0.0  # dropout-zeroed units
+        g[rng.random(g.shape) < 0.1] = -0.0
+        g[n // 2] = 0.0  # an image with no gradient at all
+        v = rng.random((n, inputs))
+        v[rng.random(v.shape) < 0.1] = -0.0
+        state = LayerState(rng.standard_normal((units, inputs)), np.zeros(units))
+        trace = ForwardTrace(input=v.reshape(n, *input_shape),
+                             input_shape=(n, *input_shape), output_shape=(n, units))
+
+        grad_input, grads = layer_backward(LayerSpec(FC, units), state, trace, g)
+
+        weights, biases = np.zeros((units, inputs)), np.zeros(units)
+        for g_i, v_i in zip(g, v):
+            weights += np.outer(g_i, v_i)
+            biases += g_i
+        assert grads.weights.tobytes() == weights.tobytes()
+        assert grads.biases.tobytes() == biases.tobytes()
+        per_image = np.stack([(state.weights.T @ g_i).reshape(input_shape) for g_i in g])
+        assert grad_input.tobytes() == per_image.tobytes()
 
 
 class TestDropoutMask:

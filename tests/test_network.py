@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from blprs.network import (
     network_backward,
     network_forward,
     predict,
+    stack_traces,
 )
 from blprs.tensor import conv2d_backward
 from oracles import gradient_gap, numeric_gradient
@@ -225,6 +227,45 @@ class TestNetworkBackward:
             state = net.states[li]
             assert gradient_gap(g.weights, numeric_gradient(loss, state.weights)) < 1e-5
             assert gradient_gap(g.biases, numeric_gradient(loss, state.biases)) < 1e-5
+
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    @pytest.mark.parametrize("config", [NetworkConfig(), replace(REDUCED, dropout_rate=0.5)],
+                             ids=["paper", "reduced"])
+    def test_batch_equals_per_image_gradients_summed_in_order(self, config, n):
+        net = build_network(config, seed=n)
+        rng = np.random.default_rng(n)
+        images = rng.random((n, *config.input_shape))
+        targets = np.eye(config.class_count)[rng.integers(config.class_count, size=n)]
+        traces = [network_forward(net, image, rng)[1] for image in images]
+        assert any(t[4].dropout_mask.min() == 0.0 for t in traces)
+
+        batch = network_backward(net, stack_traces(traces), targets)
+
+        per_image = [network_backward(net, t, target) for t, target in zip(traces, targets)]
+        for layer, got in enumerate(batch):
+            if got is None:
+                assert all(grads[layer] is None for grads in per_image)
+                continue
+            weights = np.zeros_like(got.weights)
+            biases = np.zeros_like(got.biases)
+            for grads in per_image:
+                weights += grads[layer].weights
+                biases += grads[layer].biases
+            assert got.weights.tobytes() == weights.tobytes()
+            assert got.biases.tobytes() == biases.tobytes()
+
+    def test_stacked_traces_carry_the_batch_axis(self):
+        net = build_network(NetworkConfig(), 15)
+        rng = np.random.default_rng(6)
+        traces = [network_forward(net, rng.random((1, 32, 32)), rng)[1] for _ in range(3)]
+        stacked = stack_traces(traces)
+        assert [t.output_shape for t in stacked] == [
+            (3, 6, 28, 28), (3, 6, 14, 14), (3, 12, 10, 10), (3, 12, 5, 5), (3, 300), (3, 16),
+        ]
+        assert stacked[1].input is None and stacked[1].input_shape == (3, 6, 28, 28)
+        assert stacked[1].pool_mask.shape == (3, 6, 14, 14)
+        assert stacked[4].dropout_mask.shape == (3, 300) and stacked[5].dropout_mask is None
+        assert np.array_equal(stacked[0].input[2], traces[2][0].input)
 
     def test_target_shape_mismatch(self):
         net = build_network(REDUCED, 14)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blprs.tensor import (
+    ArgmaxMask,
     conv2d_backward,
     conv2d_valid,
     maxpool2x2,
@@ -245,6 +246,60 @@ class TestMaxPoolBackward:
         _, mask = maxpool2x2(x)
         with pytest.raises(ValueError):
             maxpool2x2_backward(np.zeros((1, 3, 3)), mask, x.shape)
+
+
+def _sum_in_order(arrays):
+    """Add per-image gradients into +0.0 one image after another."""
+    total = np.zeros_like(arrays[0])
+    for a in arrays:
+        total += a
+    return total
+
+
+class TestBatchAxis:
+    """A leading batch axis gives, byte for byte, the per-image results:
+    stacked for input gradients, summed in image order for parameters."""
+
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    @pytest.mark.parametrize("x_shape, k_shape", [
+        ((1, 32, 32), (6, 1, 5, 5)), ((6, 14, 14), (12, 6, 5, 5)),
+    ], ids=["C1", "C2"])
+    def test_conv_backward(self, n, x_shape, k_shape):
+        rng = np.random.default_rng(n)
+        x = rng.random((n, *x_shape))
+        kernels = rng.standard_normal(k_shape)
+        k = k_shape[-1]
+        g = rng.standard_normal((n, k_shape[0], x_shape[1] - k + 1, x_shape[2] - k + 1))
+        g[rng.random(g.shape) < 0.1] = -0.0
+        per_image = [conv2d_backward(x_i, kernels, g_i) for x_i, g_i in zip(x, g)]
+        gi, gk, gb = conv2d_backward(x, kernels, g)
+        assert gi.tobytes() == np.stack([p[0] for p in per_image]).tobytes()
+        assert gk.tobytes() == _sum_in_order([p[1] for p in per_image]).tobytes()
+        assert gb.tobytes() == _sum_in_order([p[2] for p in per_image]).tobytes()
+        skipped, gk_only, gb_only = conv2d_backward(x, kernels, g, input_grad=False)
+        assert skipped is None
+        assert gk_only.tobytes() == gk.tobytes() and gb_only.tobytes() == gb.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    def test_maxpool_backward_with_ties(self, n):
+        rng = np.random.default_rng(n)
+        for shape in ((1, 18, 18), (6, 28, 28), (12, 10, 10)):
+            x = rng.integers(0, 3, size=(n, *shape)).astype(np.float64)
+            masks = [maxpool2x2(x_i)[1] for x_i in x]
+            mask = ArgmaxMask(rows=np.stack([m.rows for m in masks]),
+                              cols=np.stack([m.cols for m in masks]))
+            g = rng.standard_normal(mask.shape)  # negative entries too
+            per_image = [maxpool2x2_backward(g_i, m, shape) for g_i, m in zip(g, masks)]
+            got = maxpool2x2_backward(g, mask, x.shape)
+            assert got.tobytes() == np.stack(per_image).tobytes()
+
+    def test_batch_shape_mismatch(self):
+        with pytest.raises(ValueError, match="grad_out"):
+            conv2d_backward(np.zeros((2, 1, 4, 4)), np.zeros((1, 1, 2, 2)),
+                            np.zeros((3, 1, 3, 3)))
+        _, mask = maxpool2x2(np.zeros((1, 4, 4)))
+        with pytest.raises(ValueError):
+            maxpool2x2_backward(np.zeros((1, 2, 2)), mask, (2, 1, 4, 4))
 
 
 class TestSigmoid:

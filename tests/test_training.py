@@ -1,9 +1,14 @@
 import copy
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blprs
 import blprs.training as training_module
 from blprs.checkpoint import save_checkpoint
 from blprs.data import Dataset, LabelMap, Sample, SynthSpec, generate_synthetic
@@ -239,6 +244,25 @@ class TestTrain:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "a6af7d3e5d23ebb7119a58a74b2e609640b50491730c74ee483bc1b26e9d30f1"
         )
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_golden_bytes_hold_for_blas_threads(self, threads):
+        # Stacked GEMMs may split across BLAS threads differently, so both
+        # golden tests are rerun in a fresh process pinned to each count.
+        tests = Path(__file__).resolve().parent
+        src = str(Path(blprs.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{tests / 'test_training.py'}::TestTrain::"
+             "test_two_epochs_match_golden_checkpoint_and_losses",
+             f"{tests / 'test_network.py'}::TestBuildNetwork::"
+             "test_checkpoint_of_seed_42_matches_golden_bytes"],
+            cwd=tests.parent, env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "2 passed" in result.stdout
 
     def test_loss_decreases_on_learnable_set(self):
         ds = generate_synthetic(SynthSpec(per_class_count=6, seed=2), LabelMap())
