@@ -7,6 +7,7 @@ from .tensor import (
     conv2d_valid,
     maxpool2x2,
     maxpool2x2_backward,
+    pool_argmax,
     sigmoid_map,
     tensor_create,
 )
@@ -53,7 +54,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "ArgmaxMask", "Tensor", "conv2d_backward", "conv2d_valid", "maxpool2x2",
-    "maxpool2x2_backward", "sigmoid_map", "tensor_create",
+    "maxpool2x2_backward", "pool_argmax", "sigmoid_map", "tensor_create",
     "ForwardTrace", "LayerSpec", "LayerState", "dropout_mask",
     "layer_backward", "layer_forward", "mse_loss",
     "Network", "NetworkConfig", "ParamCountReport", "build_network",

@@ -16,13 +16,13 @@ from typing import Optional
 import numpy as np
 
 from .tensor import (
-    ArgmaxMask,
     Tensor,
     as_tensor,
     conv2d_backward,
     conv2d_valid,
     maxpool2x2,
     maxpool2x2_backward,
+    pool_argmax,
     sigmoid_map,
 )
 
@@ -73,14 +73,13 @@ class LayerState:
 class ForwardTrace:
     """The values the matching backward call needs.
 
-    Pooling needs only its mask and ``input_shape``, so a stacked batch
-    trace leaves its ``input`` None.
+    Pooling keeps only its ``input``: the backward pass builds the argmax
+    mask from it, once per call, so a forward-only pass never builds one.
     """
 
-    input: Optional[Tensor]
+    input: Tensor
     input_shape: tuple
     post_activation: Optional[Tensor] = None
-    pool_mask: Optional[ArgmaxMask] = None
     dropout_mask: Optional[Tensor] = None
     output_shape: tuple = ()
 
@@ -110,7 +109,7 @@ def layer_forward(
             out = sigmoid_map(out)
             trace.post_activation = out
     elif spec.kind == POOL:
-        out, trace.pool_mask = maxpool2x2(x)
+        out = maxpool2x2(x)
     else:  # FC
         v = x.ravel()
         if state.weights.shape[1] != v.size:
@@ -166,9 +165,7 @@ def layer_backward(
         )
         return grad_input, LayerState(weights=grad_w, biases=grad_b)
     if spec.kind == POOL:
-        if trace.pool_mask is None:
-            raise ValueError("trace is missing the pooling mask this spec requires")
-        return maxpool2x2_backward(g, trace.pool_mask, trace.input_shape), None
+        return maxpool2x2_backward(g, pool_argmax(trace.input), trace.input_shape), None
     # FC. Rows are images. The einsum adds the per-image outer products in
     # image order from +0.0; one G.T @ V GEMM would round differently.
     g = g.reshape(-1, state.weights.shape[0])

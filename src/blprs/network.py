@@ -27,7 +27,7 @@ from .layers import (
     layer_backward,
     layer_forward,
 )
-from .tensor import ArgmaxMask, Tensor, as_tensor
+from .tensor import Tensor, as_tensor
 
 LAYER_NAMES = ("C1", "S1", "C2", "S2", "F1", "F2")
 
@@ -148,16 +148,10 @@ def stack_traces(per_image: Sequence[list[ForwardTrace]]) -> list[ForwardTrace]:
     batch = []
     for layer in zip(*per_image):
         first = layer[0]
-        pool = first.pool_mask is not None
-        mask = None
-        if pool:
-            mask = ArgmaxMask(rows=stack([t.pool_mask.rows for t in layer]),
-                              cols=stack([t.pool_mask.cols for t in layer]))
         batch.append(ForwardTrace(
-            input=None if pool else stack([t.input for t in layer]),
+            input=stack([t.input for t in layer]),
             input_shape=(len(layer), *first.input_shape),
             post_activation=stack([t.post_activation for t in layer]),
-            pool_mask=mask,
             dropout_mask=stack([t.dropout_mask for t in layer]),
             output_shape=(len(layer), *first.output_shape),
         ))

@@ -3,12 +3,12 @@
 Tensors are plain C-contiguous ``numpy.ndarray`` values of dtype float64.
 Every operation here is a pure function: valid convolution (stride 1, no
 padding, every output map sums over all input maps), disjoint 2x2
-max-pooling with an argmax mask for the backward pass, and the logistic
-sigmoid.
+max-pooling, whose argmax mask ``pool_argmax`` builds for the backward pass
+alone, and the logistic sigmoid.
 
-The backward kernels take images as ``(..., C, H, W)``: a per-image call
-has no leading axis and a mini-batch has one. Parameter gradients are
-summed over the batch in image order, starting from +0.0.
+Pooling and the backward kernels take images as ``(..., C, H, W)``: a
+per-image call has no leading axis and a mini-batch has one. Parameter
+gradients are summed over the batch in image order, starting from +0.0.
 """
 from __future__ import annotations
 
@@ -70,10 +70,9 @@ def _im2col(x: Tensor, k: int) -> np.ndarray:
     *lead, c, h, w = x.shape
     oh, ow = h - k + 1, w - k + 1
     *lead_strides, s0, s1, s2 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x, shape=(*lead, c, k, k, oh, ow),
-        strides=(*lead_strides, s0, s1, s2, s1, s2),
-    )
+    # as_strided's view without its Python layers; needs x C-contiguous.
+    windows = np.ndarray((*lead, c, k, k, oh, ow), np.float64, x, 0,
+                         (*lead_strides, s0, s1, s2, s1, s2))
     return windows.reshape(*lead, c * k * k, oh * ow)
 
 
@@ -149,6 +148,8 @@ def conv2d_backward(
 
 def _quarters(x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """The four strided views of every 2x2 window, in row-major order."""
+    if x.ndim < 3 or x.shape[-2] % 2 or x.shape[-1] % 2:
+        raise ValueError(f"2x2 pooling needs (..., C,H,W), H and W even; got {x.shape}")
     return (x[..., 0::2, 0::2], x[..., 0::2, 1::2],
             x[..., 1::2, 0::2], x[..., 1::2, 1::2])
 
@@ -163,35 +164,38 @@ def _takes(incumbent: Tensor, challenger: Tensor) -> np.ndarray:
     return (incumbent == incumbent) > (incumbent >= challenger)
 
 
-def maxpool2x2(x: Tensor) -> tuple[Tensor, ArgmaxMask]:
-    """Disjoint 2x2 max-pooling: (C,H,W) -> (C,H/2,W/2) plus argmax mask.
+def maxpool2x2(x: Tensor) -> Tensor:
+    """Disjoint 2x2 max-pooling: (..., C,H,W) -> (..., C,H/2,W/2).
 
     Ties go to the first maximum in row-major order within the window; a NaN
-    counts as the maximum, so it reaches the output.
+    counts as the maximum and reaches the output (of several, the last's bits).
+    The backward pass's argmax mask is ``pool_argmax`` of the same input.
     """
-    x = as_tensor(x)
-    if x.ndim != 3:
-        raise ValueError(f"expected (C,H,W), got shape {x.shape}")
-    c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"spatial dims must be even for 2x2 pooling, got {h}x{w}")
-    top_left, top_right, bottom_left, bottom_right = _quarters(x)
+    top_left, top_right, bottom_left, bottom_right = _quarters(as_tensor(x))
+    # On a tie (+0.0 and -0.0 too) np.maximum returns its second operand.
+    return np.maximum(np.maximum(bottom_right, bottom_left),
+                      np.maximum(top_right, top_left))
+
+
+def pool_argmax(x: Tensor) -> ArgmaxMask:
+    """The (row, col) of each 2x2 window's maximum, chosen as ``maxpool2x2``
+    chooses it: the first in row-major order on ties, a NaN over any number.
+    """
+    top_left, top_right, bottom_left, bottom_right = _quarters(as_tensor(x))
     top_col = _takes(top_left, top_right)
     top = np.where(top_col, top_right, top_left)
     bottom_col = _takes(bottom_left, bottom_right)
     bottom = np.where(bottom_col, bottom_right, bottom_left)
     row = _takes(top, bottom)
-    out = np.where(row, bottom, top)
-    col = np.where(row, bottom_col, top_col)
-    return out, ArgmaxMask(rows=row, cols=col)
+    return ArgmaxMask(rows=row, cols=np.where(row, bottom_col, top_col))
 
 
 def maxpool2x2_backward(
     grad_out: Tensor, mask: ArgmaxMask, input_shape: Sequence[int]
 ) -> Tensor:
-    """Route each pooled gradient back to its recorded argmax position.
+    """Route each pooled gradient back to its argmax position.
 
-    ``input_shape`` is the forward input's (..., C,H,W).
+    ``mask`` is ``pool_argmax`` of the forward input, shaped ``input_shape``.
     """
     grad_out = as_tensor(grad_out)
     *lead, c, h, w = (int(d) for d in input_shape)
@@ -225,6 +229,9 @@ def sigmoid_map(t: Tensor) -> Tensor:
     e = np.abs(t)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(t >= 0, 1.0, e)
-    np.divide(out, e + 1.0, out=out)
-    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
+    # e <= 1: this is 1.0 where t >= 0, else e (NaN for a NaN t).
+    out = np.maximum(e, t >= 0)
+    e += 1.0
+    np.divide(out, e, out=out)
+    np.maximum(out, _SIGMOID_LO, out=out)
+    return np.minimum(out, _SIGMOID_HI, out=out)

@@ -3,8 +3,9 @@
 Training iterates seeded-shuffled mini-batches and applies one plain SGD
 step per batch. The forward pass runs image by image, drawing each image's
 dropout mask in turn; the backward pass runs once per mini-batch on the
-stacked traces (so its memory grows with the batch size), and its summed
-gradients are averaged over the batch.
+stacked traces (so its memory grows with the batch size) and builds the
+pooling argmax masks there; evaluation builds none. Its summed gradients
+are averaged over the batch.
 The per-epoch mean sample loss and wall time feed the learning-curve and
 timing reports.
 """

@@ -1,7 +1,9 @@
 """Independent reference implementations the fast kernels are checked against.
 
 Everything here is deliberately written as plain nested loops so it shares
-no code path with the package under test.
+no code path with the package under test, except the ``*_where_reference``
+kernels: verbatim copies of earlier vectorized kernels, kept so that the
+forms that replaced them can be shown to give the same bytes.
 """
 import numpy as np
 
@@ -65,6 +67,41 @@ def sigmoid_reference(t):
     e = np.exp(t[~pos])
     out[~pos] = e / (1.0 + e)
     return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
+def sigmoid_where_reference(t):
+    """The sigmoid kernel as it was before the where/clip trim: one shared
+    exp(-|t|), the branch picked with np.where, clamped with np.clip."""
+    t = np.ascontiguousarray(t, dtype=np.float64)
+    e = np.abs(t)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(t >= 0, 1.0, e)
+    np.divide(out, e + 1.0, out=out)
+    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=out)
+
+
+def _takes(incumbent, challenger):
+    """Where ``challenger`` displaces ``incumbent``: it is strictly larger, or
+    it is NaN and the incumbent is not."""
+    return (incumbent == incumbent) > (incumbent >= challenger)
+
+
+def maxpool_where_reference(x):
+    """The pooling kernel as it was when the forward built the argmax mask:
+    (..., C,H,W) -> (out, rows, cols), ties and NaNs to the first in
+    row-major order, every choice made with np.where."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    top_left, top_right = x[..., 0::2, 0::2], x[..., 0::2, 1::2]
+    bottom_left, bottom_right = x[..., 1::2, 0::2], x[..., 1::2, 1::2]
+    top_col = _takes(top_left, top_right)
+    top = np.where(top_col, top_right, top_left)
+    bottom_col = _takes(bottom_left, bottom_right)
+    bottom = np.where(bottom_col, bottom_right, bottom_left)
+    row = _takes(top, bottom)
+    out = np.where(row, bottom, top)
+    col = np.where(row, bottom_col, top_col)
+    return out, row, col
 
 
 def numeric_gradient(f, arr, step=1e-5):

@@ -6,7 +6,7 @@ import pytest
 
 import blprs.layers as layers_module
 from blprs.checkpoint import save_checkpoint
-from blprs.data import LabelMap, one_hot
+from blprs.data import LabelMap, SynthSpec, generate_synthetic, one_hot
 from blprs.network import (
     PAPER,
     STANDARD,
@@ -18,7 +18,7 @@ from blprs.network import (
     predict,
     stack_traces,
 )
-from blprs.tensor import conv2d_backward
+from blprs.tensor import conv2d_backward, pool_argmax
 from oracles import gradient_gap, numeric_gradient
 
 # Smallest config whose shape chain survives two conv+pool stages with the
@@ -262,8 +262,8 @@ class TestNetworkBackward:
         assert [t.output_shape for t in stacked] == [
             (3, 6, 28, 28), (3, 6, 14, 14), (3, 12, 10, 10), (3, 12, 5, 5), (3, 300), (3, 16),
         ]
-        assert stacked[1].input is None and stacked[1].input_shape == (3, 6, 28, 28)
-        assert stacked[1].pool_mask.shape == (3, 6, 14, 14)
+        assert stacked[1].input.shape == stacked[1].input_shape == (3, 6, 28, 28)
+        assert pool_argmax(stacked[1].input).shape == (3, 6, 14, 14)
         assert stacked[4].dropout_mask.shape == (3, 300) and stacked[5].dropout_mask is None
         assert np.array_equal(stacked[0].input[2], traces[2][0].input)
 
@@ -295,6 +295,16 @@ class TestPredict:
         img[0, 5, 7] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             predict(net, img)
+
+    def test_scores_of_seed_42_match_golden_bytes(self):
+        # Guards the no-dropout forward that predict and evaluate run: a
+        # kernel that rounds differently moves these bytes.
+        ds = generate_synthetic(SynthSpec(per_class_count=2, seed=1), LabelMap())
+        net = build_network(NetworkConfig(), seed=42)
+        scores = np.stack([predict(net, s.image)[1] for s in ds.samples])
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == (
+            "b5bb2c2c027aa96e608fb8589afe0227eb80379cc4a8db2733f553f497ca57b9"
+        )
 
     def test_pure_function(self):
         net = build_network(NetworkConfig(), 22)

@@ -5,8 +5,10 @@ from blprs.tensor import (
     ArgmaxMask,
     conv2d_backward,
     conv2d_valid,
+    _im2col,
     maxpool2x2,
     maxpool2x2_backward,
+    pool_argmax,
     sigmoid_map,
     tensor_create,
 )
@@ -15,20 +17,30 @@ from oracles import (
     gradient_gap,
     maxpool_mask_reference,
     maxpool_reference,
+    maxpool_where_reference,
     numeric_gradient,
     sigmoid_reference,
+    sigmoid_where_reference,
 )
+
+
+def _every_window(values):
+    """Every 2x2 window over three values (all 81 patterns) in one (1,18,18) map."""
+    patterns = np.array(np.meshgrid(*[np.arange(3)] * 4, indexing="ij"))
+    windows = np.asarray(values)[patterns.reshape(4, -1).T].reshape(-1, 2, 2)
+    return windows.reshape(9, 9, 2, 2).transpose(0, 2, 1, 3).reshape(1, 18, 18)
 
 
 def _tie_heavy_input():
     """Every 2x2 window over {0, 1, 2} (all 81 tie patterns), then random
-    small integers, so most windows hold tied maxima."""
+    small integers, so most windows hold tied maxima; then the same over
+    {-1, -0.0, +0.0}, whose tied zeros differ in their bytes."""
     rng = np.random.default_rng(17)
-    patterns = np.array(np.meshgrid(*[np.arange(3.0)] * 4, indexing="ij"))
-    windows = patterns.reshape(4, -1).T.reshape(-1, 2, 2)  # (81, 2, 2)
-    every = windows.reshape(9, 9, 2, 2).transpose(0, 2, 1, 3).reshape(1, 18, 18)
-    return [every, rng.integers(0, 3, size=(6, 28, 28)).astype(np.float64),
-            rng.integers(0, 3, size=(12, 10, 10)).astype(np.float64)]
+    return [_every_window([0.0, 1.0, 2.0]),
+            rng.integers(0, 3, size=(6, 28, 28)).astype(np.float64),
+            rng.integers(0, 3, size=(12, 10, 10)).astype(np.float64),
+            _every_window([-1.0, -0.0, 0.0]),
+            rng.choice([-1.0, -0.0, 0.0], size=(6, 28, 28))]
 
 
 class TestTensorCreate:
@@ -145,23 +157,24 @@ class TestConvBackward:
 
 class TestMaxPool:
     def test_single_window(self):
-        out, mask = maxpool2x2(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        out, mask = maxpool2x2(x), pool_argmax(x)
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == 4.0
         assert mask.rows[0, 0, 0] == 1 and mask.cols[0, 0, 0] == 1
 
     def test_mask_is_boolean(self):
-        _, mask = maxpool2x2(np.random.default_rng(2).standard_normal((3, 4, 6)))
+        mask = pool_argmax(np.random.default_rng(2).standard_normal((3, 4, 6)))
         assert mask.rows.dtype == bool and mask.cols.dtype == bool
 
     def test_table_shape_28_to_14(self):
-        out, _ = maxpool2x2(np.zeros((6, 28, 28)))
+        out = maxpool2x2(np.zeros((6, 28, 28)))
         assert out.shape == (6, 14, 14)
 
     def test_matches_window_scan_oracle(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((12, 10, 10))
-        out, _ = maxpool2x2(x)
+        out = maxpool2x2(x)
         assert np.array_equal(out, maxpool_reference(x))
 
     def test_oracle_agreement_100_random(self):
@@ -171,16 +184,18 @@ class TestMaxPool:
             h = 2 * int(rng.integers(1, 5))
             w = 2 * int(rng.integers(1, 5))
             x = rng.standard_normal((c, h, w))
-            out, _ = maxpool2x2(x)
+            out = maxpool2x2(x)
             assert np.max(np.abs(out - maxpool_reference(x))) < 1e-12
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError, match="even"):
             maxpool2x2(np.zeros((1, 3, 4)))
+        with pytest.raises(ValueError, match="even"):
+            pool_argmax(np.zeros((1, 3, 4)))
 
     def test_mask_is_first_maximum_on_ties(self):
         for x in _tie_heavy_input():
-            out, mask = maxpool2x2(x)
+            out, mask = maxpool2x2(x), pool_argmax(x)
             rows, cols = maxpool_mask_reference(x)
             assert out.tobytes() == maxpool_reference(x).tobytes()
             assert np.array_equal(mask.rows, rows) and np.array_equal(mask.cols, cols)
@@ -189,7 +204,7 @@ class TestMaxPool:
     def test_nan_reaches_output(self, position):
         x = np.arange(4.0).reshape(1, 2, 2)
         x.flat[position] = np.nan
-        out, mask = maxpool2x2(x)
+        out, mask = maxpool2x2(x), pool_argmax(x)
         assert np.isnan(out[0, 0, 0])
         assert (mask.rows[0, 0, 0], mask.cols[0, 0, 0]) == divmod(position, 2)
 
@@ -197,13 +212,13 @@ class TestMaxPool:
 class TestMaxPoolBackward:
     def test_routes_single_entry(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        _, mask = maxpool2x2(x)
+        mask = pool_argmax(x)
         grad = maxpool2x2_backward(np.array([[[7.0]]]), mask, x.shape)
         assert np.array_equal(grad, [[[0.0, 0.0], [0.0, 7.0]]])
 
     def test_tie_goes_to_first_in_scan_order(self):
         x = np.full((1, 2, 2), 5.0)
-        _, mask = maxpool2x2(x)
+        mask = pool_argmax(x)
         assert mask.rows[0, 0, 0] == 0 and mask.cols[0, 0, 0] == 0
         grad = maxpool2x2_backward(np.array([[[2.0]]]), mask, x.shape)
         assert np.array_equal(grad, [[[2.0, 0.0], [0.0, 0.0]]])
@@ -214,10 +229,10 @@ class TestMaxPoolBackward:
         weights = rng.standard_normal((2, 2, 2))
 
         def loss():
-            out, _ = maxpool2x2(x)
+            out = maxpool2x2(x)
             return float(np.sum(out * weights))
 
-        out, mask = maxpool2x2(x)
+        mask = pool_argmax(x)
         analytic = maxpool2x2_backward(weights, mask, x.shape)
         assert gradient_gap(analytic, numeric_gradient(loss, x)) < 1e-5
 
@@ -225,7 +240,7 @@ class TestMaxPoolBackward:
         rng = np.random.default_rng(33)
         for _ in range(20):
             x = rng.standard_normal((3, 6, 8))
-            _, mask = maxpool2x2(x)
+            mask = pool_argmax(x)
             g = rng.standard_normal((3, 3, 4))
             routed = maxpool2x2_backward(g, mask, x.shape)
             assert np.isclose(routed.sum(), g.sum(), atol=1e-12)
@@ -233,7 +248,7 @@ class TestMaxPoolBackward:
     def test_routes_to_oracle_mask_bitwise(self):
         rng = np.random.default_rng(23)
         for x in _tie_heavy_input():
-            _, mask = maxpool2x2(x)
+            mask = pool_argmax(x)
             rows, cols = maxpool_mask_reference(x)
             g = rng.standard_normal(rows.shape)  # negative entries too
             expected = np.zeros(x.shape)  # +0.0 everywhere nothing is routed
@@ -243,7 +258,7 @@ class TestMaxPoolBackward:
 
     def test_shape_mismatch(self):
         x = np.zeros((1, 4, 4))
-        _, mask = maxpool2x2(x)
+        mask = pool_argmax(x)
         with pytest.raises(ValueError):
             maxpool2x2_backward(np.zeros((1, 3, 3)), mask, x.shape)
 
@@ -285,7 +300,7 @@ class TestBatchAxis:
         rng = np.random.default_rng(n)
         for shape in ((1, 18, 18), (6, 28, 28), (12, 10, 10)):
             x = rng.integers(0, 3, size=(n, *shape)).astype(np.float64)
-            masks = [maxpool2x2(x_i)[1] for x_i in x]
+            masks = [pool_argmax(x_i) for x_i in x]
             mask = ArgmaxMask(rows=np.stack([m.rows for m in masks]),
                               cols=np.stack([m.cols for m in masks]))
             g = rng.standard_normal(mask.shape)  # negative entries too
@@ -297,7 +312,7 @@ class TestBatchAxis:
         with pytest.raises(ValueError, match="grad_out"):
             conv2d_backward(np.zeros((2, 1, 4, 4)), np.zeros((1, 1, 2, 2)),
                             np.zeros((3, 1, 3, 3)))
-        _, mask = maxpool2x2(np.zeros((1, 4, 4)))
+        mask = pool_argmax(np.zeros((1, 4, 4)))
         with pytest.raises(ValueError):
             maxpool2x2_backward(np.zeros((1, 2, 2)), mask, (2, 1, 4, 4))
 
@@ -336,3 +351,109 @@ class TestSigmoid:
         for t in (edges, rng.standard_normal(1000) * 40, grid, grid[:, ::2, 1::3],
                   grid.transpose(2, 0, 1)):
             assert sigmoid_map(t).tobytes() == sigmoid_reference(t).tobytes()
+
+
+def _sigmoid_inputs():
+    """Edge values, then 10,000 seeded values in [-40, 40]."""
+    tiny = np.nextafter(0.0, 1.0)
+    edges = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308,
+                      36.7, -36.7, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0,
+                      np.inf, -np.inf, np.nan, -np.nan])
+    return [edges, np.random.default_rng(43).uniform(-40.0, 40.0, 10_000)]
+
+
+def _with_batch(x, n):
+    """``x`` itself (n None) or n copies along a new leading axis, the i-th
+    rolled by i columns so the images differ."""
+    return x if n is None else np.stack([np.roll(x, i, axis=-1) for i in range(n)])
+
+
+class TestSameBytesAsWhereKernels:
+    """maxpool2x2 with pool_argmax, and sigmoid_map, give byte for byte what
+    the np.where kernels they replaced gave (kept in oracles.py)."""
+
+    def _assert_pool_matches(self, x):
+        out, rows, cols = maxpool_where_reference(x)
+        got, mask = maxpool2x2(x), pool_argmax(x)
+        assert got.shape == out.shape and got.tobytes() == out.tobytes()
+        assert mask.rows.dtype == rows.dtype and mask.cols.dtype == cols.dtype
+        assert mask.rows.tobytes() == rows.tobytes()
+        assert mask.cols.tobytes() == cols.tobytes()
+
+    @pytest.mark.parametrize("n", [None, 1, 2, 10])
+    def test_pooling_on_ties(self, n):
+        for x in _tie_heavy_input():
+            self._assert_pool_matches(_with_batch(x, n))
+
+    @pytest.mark.parametrize("n", [None, 1, 2, 10])
+    @pytest.mark.parametrize("position", range(4))
+    def test_pooling_with_a_nan_at_each_position(self, position, n):
+        rng = np.random.default_rng(position)
+        x = rng.integers(0, 3, size=(6, 28, 28)).astype(np.float64)
+        dy, dx = divmod(position, 2)
+        x[:, dy::2, dx::2][rng.random((6, 14, 14)) < 0.3] = np.nan
+        single = np.arange(4.0).reshape(1, 2, 2)
+        single.flat[position] = np.nan
+        for image in (x, single):
+            self._assert_pool_matches(_with_batch(image, n))
+
+    @pytest.mark.parametrize("shape", [None, (6, 28, 28), (10, 12, 10, 10)])
+    def test_sigmoid(self, shape):
+        for t in _sigmoid_inputs():
+            if shape is not None:
+                t = np.resize(t, shape)
+            assert sigmoid_map(t).tobytes() == sigmoid_where_reference(t).tobytes()
+
+
+_QUARTER_SHAPES = pytest.mark.parametrize(
+    "shape", [(6, 28, 28), (12, 10, 10), (10, 6, 28, 28), (10, 12, 10, 10)],
+    ids=["S1", "S2", "S1-batch", "S2-batch"])
+
+
+class TestNumpyRulesTheKernelsRestOn:
+    """maxpool2x2 and sigmoid_map keep the bytes of the np.where kernels only
+    because numpy behaves as pinned here. A numpy that changes one of these
+    rules fails here by name."""
+
+    @_QUARTER_SHAPES
+    def test_maximum_returns_its_second_operand_on_ties(self, shape):
+        rng = np.random.default_rng(len(shape))
+        zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+        for size in (*range(1, 40), zeros.size):
+            a, b = zeros.ravel()[:size], -zeros.ravel()[:size]
+            assert np.maximum(a, b).tobytes() == b.tobytes()
+        top_left, top_right = zeros[..., 0::2, 0::2], zeros[..., 0::2, 1::2]
+        bottom_left, bottom_right = zeros[..., 1::2, 0::2], zeros[..., 1::2, 1::2]
+        for a, b in ((bottom_right, bottom_left), (top_right, top_left),
+                     (top_left, bottom_right)):
+            assert np.maximum(a, b).tobytes() == b.tobytes()
+
+    @_QUARTER_SHAPES
+    def test_maximum_with_the_sign_test_equals_where(self, shape):
+        for t in _sigmoid_inputs():
+            t = np.resize(t, shape)
+            e = np.exp(-np.abs(t))
+            assert np.maximum(e, t >= 0).tobytes() == np.where(t >= 0, 1.0, e).tobytes()
+
+    def test_minimum_of_maximum_equals_clip(self):
+        lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+        x = np.concatenate([
+            [0.0, -0.0, lo, hi, 1.0, 0.5, np.inf, -np.inf, np.nan, -np.nan],
+            np.random.default_rng(47).random(10_000),
+        ])
+        assert (np.minimum(np.maximum(x, lo), hi).tobytes()
+                == np.clip(x, lo, hi).tobytes())
+
+    @pytest.mark.parametrize("shape", [(1, 32, 32), (6, 14, 14), (10, 1, 32, 32),
+                                       (10, 6, 14, 14)])
+    def test_ndarray_window_view_equals_as_strided(self, shape):
+        x = np.random.default_rng(53).random(shape)
+        *lead, c, h, w = shape
+        *lead_strides, s0, s1, s2 = x.strides
+        view_shape = (*lead, c, 5, 5, h - 4, w - 4)
+        view_strides = (*lead_strides, s0, s1, s2, s1, s2)
+        expected = np.lib.stride_tricks.as_strided(x, view_shape, view_strides)
+        got = np.ndarray(view_shape, np.float64, x, 0, view_strides)
+        assert got.strides == expected.strides
+        assert got.tobytes() == expected.tobytes()
+        assert _im2col(x, 5).tobytes() == expected.reshape(*lead, c * 25, -1).tobytes()
