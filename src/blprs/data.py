@@ -207,7 +207,11 @@ def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 # Directory loading
 
 def load_dataset_dir(root, labels: LabelMap) -> Dataset:
-    """Load `<root>/<label>/<file>` trees of PGM/PPM images, lexicographically."""
+    """Load `<root>/<label>/<file>` trees of PGM/PPM images, lexicographically.
+
+    A directory inside a class directory is skipped; a symbolic link there
+    that leads to no file or directory raises ValueError naming it.
+    """
     root = Path(root)
     subdirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not subdirs:
@@ -220,8 +224,14 @@ def load_dataset_dir(root, labels: LabelMap) -> Dataset:
             raise ValueError(
                 f"{root}: subdirectory {sub.name!r} is not in the label map"
             ) from None
+        names = []
         with os.scandir(sub) as entries:
-            names = sorted(e.name for e in entries if e.is_file())
+            for e in entries:
+                if e.is_file():
+                    names.append(e.name)
+                elif e.is_symlink() and not e.is_dir():
+                    raise ValueError(f"{sub / e.name}: symbolic link to no file")
+        names.sort()
         for name in names:
             samples.append(Sample(normalize_image(read_pnm(sub / name)), class_index))
     if not samples:

@@ -6,7 +6,8 @@ when an rng is given, with inverted scaling so no rng means the identity.
 
 ``layer_forward`` runs one image. ``layer_backward`` runs one image or a
 mini-batch: a trace whose arrays carry a leading batch axis gives
-parameter gradients summed over that batch.
+parameter gradients summed over that batch. Given a ``Workspace``, it puts
+the fully connected weight gradient into the array the previous call used.
 """
 from __future__ import annotations
 
@@ -69,11 +70,41 @@ class LayerState:
     biases: Optional[np.ndarray] = None
 
 
+class Workspace:
+    """Arrays that one mini-batch after another reuses, keyed by (name, shape).
+
+    Asking again for a name and shape gives the same array back, to be
+    overwritten; a new shape, say a short last batch's, gets its own.
+    ``part(name)`` is a workspace of its own, so that two layers whose
+    arrays share a name and shape never share the arrays.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, name, shape) -> np.ndarray:
+        """The float64 array kept under (name, shape), made on first use."""
+        key = (name, tuple(shape))
+        if key not in self._arrays:
+            self._arrays[key] = np.empty(shape)
+        return self._arrays[key]
+
+    def part(self, name) -> "Workspace":
+        if name not in self._arrays:
+            self._arrays[name] = Workspace()
+        return self._arrays[name]
+
+
 @dataclass
 class ForwardTrace:
     """The values the matching backward call needs.
 
-    Pooling keeps only its ``input``: the backward pass builds the argmax
+    ``post_activation`` holds the sigmoid outputs whose derivative the
+    backward pass takes first. A pooling layer that ``network_forward``
+    hands its input's activation to holds its pooled maps there, so the
+    derivative is taken on a quarter of the values and the convolution
+    below, which then holds none, gets a gradient already past its sigmoid.
+    Pooling also keeps its ``input``: the backward pass builds the argmax
     mask from it, once per call, so a forward-only pass never builds one.
     """
 
@@ -136,12 +167,15 @@ def layer_backward(
     trace: ForwardTrace,
     grad_out: Tensor,
     input_grad: bool = True,
+    workspace: Optional[Workspace] = None,
 ) -> tuple[Optional[Tensor], Optional[LayerState]]:
     """Backpropagate through one layer; returns (grad_input, param grads).
 
     A trace with a leading batch axis takes a ``grad_out`` with the same
     axis and gives parameter gradients summed over it in image order. With
     ``input_grad=False`` a convolution skips grad_input and returns None.
+    The fully connected weight gradient goes into ``workspace``'s array;
+    without one, into a new array.
     """
     grad_out = as_tensor(grad_out)
     if grad_out.shape != trace.output_shape:
@@ -149,13 +183,13 @@ def layer_backward(
             f"grad_out shape {grad_out.shape} does not match forward "
             f"output {trace.output_shape}"
         )
+    if workspace is None:
+        workspace = Workspace()
     g = grad_out
     if trace.dropout_mask is not None:
         g = g * trace.dropout_mask
-    if spec.apply_sigmoid:
-        if trace.post_activation is None:
-            raise ValueError("trace is missing the activation this spec requires")
-        y = trace.post_activation
+    y = trace.post_activation
+    if y is not None:
         g = g * y
         g *= 1.0 - y
 
@@ -165,12 +199,14 @@ def layer_backward(
         )
         return grad_input, LayerState(weights=grad_w, biases=grad_b)
     if spec.kind == POOL:
-        return maxpool2x2_backward(g, pool_argmax(trace.input), trace.input_shape), None
+        mask = pool_argmax(trace.input, y)
+        return maxpool2x2_backward(g, mask, trace.input_shape), None
     # FC. Rows are images. The einsum adds the per-image outer products in
     # image order from +0.0; one G.T @ V GEMM would round differently.
     g = g.reshape(-1, state.weights.shape[0])
     v = trace.input.reshape(len(g), -1)
-    grad_w = np.einsum("ni,nj->ij", g, v)
+    grad_w = np.einsum("ni,nj->ij", g, v,
+                       out=workspace.array("weights", state.weights.shape))
     grad_input = np.matmul(state.weights.T, g[:, :, None]).reshape(trace.input_shape)
     return grad_input, LayerState(weights=grad_w, biases=g.sum(axis=0, initial=0.0))
 

@@ -24,6 +24,7 @@ from .layers import (
     ForwardTrace,
     LayerSpec,
     LayerState,
+    Workspace,
     layer_backward,
     layer_forward,
 )
@@ -122,7 +123,9 @@ def network_forward(
 ) -> tuple[Tensor, list[ForwardTrace]]:
     """Chain all six layers; returns the 16 class scores and the traces.
 
-    Dropout applies exactly when an rng is given.
+    Dropout applies exactly when an rng is given. A pooling layer whose input
+    is the sigmoid output of the layer below takes that layer's activation
+    over, as its pooled maps (see ``ForwardTrace``).
     """
     image = as_tensor(image)
     if image.shape != tuple(net.config.input_shape):
@@ -136,14 +139,27 @@ def network_forward(
     out = image
     for spec, state in zip(net.config.layer_specs, net.states):
         out, trace = layer_forward(spec, state, out, rng)
+        if spec.kind == POOL and traces and traces[-1].post_activation is trace.input:
+            trace.post_activation, traces[-1].post_activation = out, None
         traces.append(trace)
     return out, traces
 
 
 def stack_traces(per_image: Sequence[list[ForwardTrace]]) -> list[ForwardTrace]:
-    """One trace per layer holding every image's values along a leading axis."""
+    """One trace per layer holding every image's values along a leading axis.
+
+    An array that two traces share, such as a pooling layer's maps and the
+    next layer's input, is stacked once, and both stacked traces hold it.
+    """
+    stacked = {}
+
     def stack(values):
-        return None if values[0] is None else np.stack(values)
+        if values[0] is None:
+            return None
+        key = tuple(map(id, values))
+        if key not in stacked:
+            stacked[key] = np.stack(values)
+        return stacked[key]
 
     batch = []
     for layer in zip(*per_image):
@@ -159,12 +175,18 @@ def stack_traces(per_image: Sequence[list[ForwardTrace]]) -> list[ForwardTrace]:
 
 
 def network_backward(
-    net: Network, traces: list[ForwardTrace], target: Tensor
+    net: Network,
+    traces: list[ForwardTrace],
+    target: Tensor,
+    workspace: Optional[Workspace] = None,
 ) -> list:
     """Gradients of the half-sum-of-squares loss w.r.t. every weight and bias.
 
     Takes one image's traces and target, or ``stack_traces`` of a mini-batch
     and the stacked targets; a batch's gradients are summed over its images.
+    Given a ``workspace``, the fully connected weight gradients are the
+    arrays the last call with it returned, overwritten; without one, every
+    call returns new arrays.
     """
     target = as_tensor(target)
     scores_shape = traces[-1].output_shape
@@ -172,13 +194,16 @@ def network_backward(
         raise ValueError(
             f"target shape {target.shape} does not match scores {scores_shape}"
         )
+    if workspace is None:
+        workspace = Workspace()
     grad = traces[-1].post_activation - target
     specs = net.config.layer_specs
     grads: list[Optional[LayerState]] = [None] * len(traces)
     for i in range(len(traces) - 1, -1, -1):
         # Nothing reads the gradient w.r.t. the image, so C1 skips it.
         grad, grads[i] = layer_backward(
-            specs[i], net.states[i], traces[i], grad, input_grad=i > 0
+            specs[i], net.states[i], traces[i], grad, input_grad=i > 0,
+            workspace=workspace.part(i),
         )
     return grads
 

@@ -9,6 +9,12 @@ alone, and the logistic sigmoid.
 Pooling and the backward kernels take images as ``(..., C, H, W)``: a
 per-image call has no leading axis and a mini-batch has one. Parameter
 gradients are summed over the batch in image order, starting from +0.0.
+
+The mask is taken by equality with the pooled output, so a caller that
+holds the pooled maps passes them in and nothing is pooled twice. A
+sigmoid's derivative commutes with the routing: taken on the pooled values
+and then routed, it gives the bytes that routing first and differentiating
+the full map give, on a quarter of the values.
 """
 from __future__ import annotations
 
@@ -154,16 +160,6 @@ def _quarters(x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
             x[..., 1::2, 0::2], x[..., 1::2, 1::2])
 
 
-def _takes(incumbent: Tensor, challenger: Tensor) -> np.ndarray:
-    """Where ``challenger`` displaces ``incumbent`` under argmax's rule: it is
-    strictly larger, or it is NaN and the incumbent is not.
-
-    Both cases are "the incumbent is a number and not >= the challenger";
-    on booleans ``a > b`` is ``a and not b``.
-    """
-    return (incumbent == incumbent) > (incumbent >= challenger)
-
-
 def maxpool2x2(x: Tensor) -> Tensor:
     """Disjoint 2x2 max-pooling: (..., C,H,W) -> (..., C,H/2,W/2).
 
@@ -177,17 +173,32 @@ def maxpool2x2(x: Tensor) -> Tensor:
                       np.maximum(top_right, top_left))
 
 
-def pool_argmax(x: Tensor) -> ArgmaxMask:
+def pool_argmax(x: Tensor, pooled: Optional[Tensor] = None) -> ArgmaxMask:
     """The (row, col) of each 2x2 window's maximum, chosen as ``maxpool2x2``
     chooses it: the first in row-major order on ties, a NaN over any number.
+
+    The winner is the first position equal to the pooled value, or, in a
+    window whose maximum is NaN, the first NaN. ``pooled`` is
+    ``maxpool2x2(x)``, for a caller that holds it already.
     """
-    top_left, top_right, bottom_left, bottom_right = _quarters(as_tensor(x))
-    top_col = _takes(top_left, top_right)
-    top = np.where(top_col, top_right, top_left)
-    bottom_col = _takes(bottom_left, bottom_right)
-    bottom = np.where(bottom_col, bottom_right, bottom_left)
-    row = _takes(top, bottom)
-    return ArgmaxMask(rows=row, cols=np.where(row, bottom_col, top_col))
+    x = as_tensor(x)
+    top_left, top_right, bottom_left, _ = _quarters(x)
+    if pooled is None:
+        pooled = maxpool2x2(x)
+    elif pooled.shape != top_left.shape:
+        raise ValueError(f"pooled shape {pooled.shape} does not match {top_left.shape}")
+
+    def holds_max(v):
+        held = v == pooled
+        held |= v != v  # a NaN: then the window's maximum is NaN as well
+        return held
+
+    tl, tr, bl = holds_max(top_left), holds_max(top_right), holds_max(bottom_left)
+    # Top-left wins where it holds the maximum, else top-right, else
+    # bottom-left, else bottom-right.
+    rows = ~(tl | tr)
+    cols = ~tl & (tr | ~bl)
+    return ArgmaxMask(rows=rows, cols=cols)
 
 
 def maxpool2x2_backward(
@@ -196,6 +207,8 @@ def maxpool2x2_backward(
     """Route each pooled gradient back to its argmax position.
 
     ``mask`` is ``pool_argmax`` of the forward input, shaped ``input_shape``.
+    A sigmoid's derivative may be taken on ``grad_out`` first, at the pooled
+    values: every losing position gets +0.0 either way.
     """
     grad_out = as_tensor(grad_out)
     *lead, c, h, w = (int(d) for d in input_shape)

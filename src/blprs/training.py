@@ -4,8 +4,13 @@ Training iterates seeded-shuffled mini-batches and applies one plain SGD
 step per batch. The forward pass runs image by image, drawing each image's
 dropout mask in turn; the backward pass runs once per mini-batch on the
 stacked traces (so its memory grows with the batch size) and builds the
-pooling argmax masks there; evaluation builds none. Its summed gradients
-are averaged over the batch.
+pooling argmax masks there, from the pooled maps, where it also takes the
+convolutions' sigmoid derivatives; evaluation builds none. Its summed
+gradients are averaged over the batch. Each ``train`` call keeps one
+workspace that holds the fully connected weight gradients, the largest
+arrays a step returns: every batch reuses them, so the heap stays in place
+and after the first batch a step takes almost no fresh pages from the
+system. The workspace goes when the call returns.
 The per-epoch mean sample loss and wall time feed the learning-curve and
 timing reports.
 """
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, one_hot
-from .layers import LayerState, mse_loss
+from .layers import LayerState, Workspace, mse_loss
 from .network import (
     Network,
     network_backward,
@@ -129,6 +134,7 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
         for s in net.states
     ])
 
+    workspace = Workspace()
     per_epoch_error = []
     per_epoch_seconds = []
     loop_start = time.perf_counter()
@@ -144,7 +150,7 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
                 loss, _ = mse_loss(scores, targets[i])
                 epoch_loss += loss
                 traces.append(image_traces)
-            grads = network_backward(net, stack_traces(traces), targets[batch])
+            grads = network_backward(net, stack_traces(traces), targets[batch], workspace)
             inv = 1.0 / len(batch)
             for g in grads:
                 if g is not None:

@@ -104,6 +104,13 @@ def maxpool_where_reference(x):
     return out, row, col
 
 
+def pool_argmax_where_reference(x):
+    """``pool_argmax`` as it was before the mask was taken by equality with
+    the pooled output: the (rows, cols) of the _takes/np.where scan above."""
+    _, rows, cols = maxpool_where_reference(x)
+    return rows, cols
+
+
 def numeric_gradient(f, arr, step=1e-5):
     """Central finite differences of scalar f w.r.t. every entry of arr."""
     grad = np.zeros_like(arr)

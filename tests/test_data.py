@@ -338,6 +338,24 @@ class TestLoadDatasetDir:
         (tmp_path / labels[0] / "nested").mkdir()
         assert len(load_dataset_dir(tmp_path, labels)) == 32
 
+    def test_broken_symlink_named_in_error(self, tmp_path):
+        labels = LabelMap()
+        _write_tree(tmp_path, labels, per_class=2)
+        link = tmp_path / labels[5] / "9.pgm"
+        link.symlink_to(tmp_path / "missing.pgm")
+        with pytest.raises(ValueError, match=re.escape(f"{link}: symbolic link to no file")):
+            load_dataset_dir(tmp_path, labels)
+
+    def test_symlinks_to_a_file_and_a_directory_are_followed(self, tmp_path):
+        labels = LabelMap()
+        _write_tree(tmp_path, labels, per_class=2)
+        class_dir = tmp_path / labels[0]
+        (class_dir / "linked.pgm").symlink_to(class_dir / "0.pgm")
+        (class_dir / "linked_dir").symlink_to(tmp_path / labels[1], target_is_directory=True)
+        ds = load_dataset_dir(tmp_path, labels)
+        assert len(ds) == 33
+        assert np.array_equal(ds.samples[2].image, ds.samples[0].image)
+
     def test_unknown_subdirectory_named_in_error(self, tmp_path):
         labels = LabelMap()
         _write_tree(tmp_path, labels, per_class=1)

@@ -18,7 +18,7 @@ from blprs.network import (
     predict,
     stack_traces,
 )
-from blprs.tensor import conv2d_backward, pool_argmax
+from blprs.tensor import conv2d_backward, maxpool2x2, pool_argmax
 from oracles import gradient_gap, numeric_gradient
 
 # Smallest config whose shape chain survives two conv+pool stages with the
@@ -266,6 +266,42 @@ class TestNetworkBackward:
         assert pool_argmax(stacked[1].input).shape == (3, 6, 14, 14)
         assert stacked[4].dropout_mask.shape == (3, 300) and stacked[5].dropout_mask is None
         assert np.array_equal(stacked[0].input[2], traces[2][0].input)
+
+    def test_pooling_takes_over_the_sigmoid_of_the_layer_below(self):
+        net = build_network(NetworkConfig(), 16)
+        rng = np.random.default_rng(7)
+        _, traces = network_forward(net, rng.random((1, 32, 32)), rng)
+        for conv, pool, above in (traces[0:3], traces[2:5]):
+            assert conv.post_activation is None
+            assert pool.post_activation is above.input
+            assert np.array_equal(pool.post_activation, maxpool2x2(pool.input))
+        assert traces[4].post_activation is not None and traces[5].post_activation is not None
+
+    def test_a_shared_array_is_stacked_once(self):
+        net = build_network(NetworkConfig(), 17)
+        rng = np.random.default_rng(8)
+        traces = [network_forward(net, rng.random((1, 32, 32)), rng)[1] for _ in range(4)]
+        stacked = stack_traces(traces)
+        assert stacked[1].post_activation is stacked[2].input
+        assert stacked[3].post_activation is stacked[4].input
+        assert stacked[4].input.shape == (4, 12, 5, 5)
+
+    def test_public_calls_share_no_memory(self):
+        net = build_network(NetworkConfig(), 18)
+        rng = np.random.default_rng(9)
+        targets = np.eye(16)[rng.integers(16, size=3)]
+        calls = []
+        for _ in range(2):
+            traces = stack_traces([network_forward(net, rng.random((1, 32, 32)), rng)[1]
+                                   for _ in range(3)])
+            grads = network_backward(net, traces, targets)
+            calls.append([a for g in grads if g is not None for a in (g.weights, g.biases)]
+                         + [a for t in traces for a in (t.input, t.post_activation)
+                            if a is not None])
+        first, second = calls
+        for a in first:
+            for b in second:
+                assert not np.shares_memory(a, b)
 
     def test_target_shape_mismatch(self):
         net = build_network(REDUCED, 14)

@@ -19,6 +19,7 @@ from oracles import (
     maxpool_reference,
     maxpool_where_reference,
     numeric_gradient,
+    pool_argmax_where_reference,
     sigmoid_reference,
     sigmoid_where_reference,
 )
@@ -403,6 +404,83 @@ class TestSameBytesAsWhereKernels:
             if shape is not None:
                 t = np.resize(t, shape)
             assert sigmoid_map(t).tobytes() == sigmoid_where_reference(t).tobytes()
+
+
+def _saturated_sigmoid_maps(shape):
+    """Sigmoid maps of normal, rounded (tie-rich) and x400 draws; the last
+    clamp at nextafter(1, 0) or nextafter(0, 1), so nearly every window ties."""
+    rng = np.random.default_rng(len(shape))
+    t = rng.standard_normal(shape)
+    return [sigmoid_map(t), sigmoid_map(np.round(t)), sigmoid_map(400.0 * t)]
+
+
+class TestEqualityMask:
+    """pool_argmax takes the first position equal to the pooled value, or the
+    first NaN; it must pick what the _takes/np.where scan it replaced picked,
+    with the pooled maps passed in or not."""
+
+    def _assert_mask_matches(self, x):
+        rows, cols = pool_argmax_where_reference(x)
+        for mask in (pool_argmax(x), pool_argmax(x, maxpool2x2(x))):
+            assert mask.rows.dtype == rows.dtype and mask.cols.dtype == cols.dtype
+            assert mask.rows.tobytes() == rows.tobytes()
+            assert mask.cols.tobytes() == cols.tobytes()
+
+    @pytest.mark.parametrize("n", [None, 1, 2, 10])
+    def test_ties(self, n):
+        for x in _tie_heavy_input():
+            self._assert_mask_matches(_with_batch(x, n))
+
+    @pytest.mark.parametrize("n", [None, 1, 2, 10])
+    def test_signed_zeros(self, n):
+        for x in (_every_window([-0.0, 0.0, 1.0]), _every_window([-1.0, -0.0, 0.0])):
+            self._assert_mask_matches(_with_batch(x, n))
+
+    @pytest.mark.parametrize("n", [None, 1, 2, 10])
+    @pytest.mark.parametrize("position", range(4))
+    def test_a_nan_at_each_position(self, position, n):
+        x = np.random.default_rng(position).integers(0, 3, size=(6, 28, 28)).astype(np.float64)
+        dy, dx = divmod(position, 2)
+        x[:, dy::2, dx::2] = np.nan
+        self._assert_mask_matches(_with_batch(x, n))
+
+    @pytest.mark.parametrize("n", [None, 1, 2, 10])
+    def test_several_nans_in_one_window(self, n):
+        # Every window over {1, 2, NaN}: from one NaN up to four in a window.
+        x = _every_window([1.0, 2.0, np.nan])
+        assert np.isnan(x.reshape(81, 2, 2)).sum(axis=(1, 2)).max() == 4
+        self._assert_mask_matches(_with_batch(x, n))
+
+    @pytest.mark.parametrize("n", [None, 1, 2, 10])
+    @pytest.mark.parametrize("shape", [(6, 28, 28), (12, 10, 10)], ids=["S1", "S2"])
+    def test_sigmoid_maps(self, shape, n):
+        for y in _saturated_sigmoid_maps(shape):
+            self._assert_mask_matches(_with_batch(y, n))
+        clamped = sigmoid_map(np.full(shape, 50.0))
+        assert (clamped == np.nextafter(1.0, 0.0)).all()
+        self._assert_mask_matches(_with_batch(clamped, n))
+
+    def test_pooled_shape_mismatch(self):
+        with pytest.raises(ValueError, match="pooled"):
+            pool_argmax(np.zeros((1, 4, 4)), np.zeros((1, 2, 3)))
+
+    @pytest.mark.parametrize("shape", [(10, 6, 28, 28), (10, 12, 10, 10)], ids=["S1", "S2"])
+    def test_derivative_on_pooled_values_then_routed(self, shape):
+        """The sigmoid derivative taken at the pooled values and then routed is,
+        byte for byte, routing first and differentiating the full map."""
+        rng = np.random.default_rng(shape[1])
+        for y in _saturated_sigmoid_maps(shape):
+            pooled = maxpool2x2(y)
+            mask = pool_argmax(y, pooled)
+            g = rng.standard_normal(pooled.shape)
+            g[rng.random(g.shape) < 0.1] = -0.0
+            fused = g * pooled
+            fused *= 1.0 - pooled
+            fused = maxpool2x2_backward(fused, mask, y.shape)
+            routed = maxpool2x2_backward(g, pool_argmax(y), y.shape)
+            expected = routed * y
+            expected *= 1.0 - y
+            assert fused.tobytes() == expected.tobytes()
 
 
 _QUARTER_SHAPES = pytest.mark.parametrize(

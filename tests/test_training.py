@@ -307,6 +307,75 @@ class TestTrain:
                 TrainConfig(**kwargs)
 
 
+class TestWorkspace:
+    """``train`` keeps the fully connected weight gradients in one workspace
+    per call."""
+
+    def _spy(self, monkeypatch):
+        calls = []
+        backward = training_module.network_backward
+
+        def spy(net, traces, targets, *args, **kwargs):
+            grads = backward(net, traces, targets, *args, **kwargs)
+            calls.append([grads[4].weights, grads[5].weights])
+            return grads
+
+        monkeypatch.setattr(training_module, "network_backward", spy)
+        return calls
+
+    def test_every_batch_of_a_call_reuses_the_same_arrays(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        ds = _uniform_dataset(2)  # 32 images: batches of 10, 10, 10 and 2
+        train(build_network(NetworkConfig(), 3), ds, TrainConfig(epochs=2, seed=3))
+        assert len(calls) == 8
+        for weights in calls[1:]:
+            assert all(a is b for a, b in zip(weights, calls[0]))
+        assert not np.shares_memory(*calls[0])
+
+    def test_each_call_has_its_own_workspace(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        ds = _uniform_dataset(1)
+        net = build_network(NetworkConfig(), 4)
+        train(net, ds, TrainConfig(epochs=1, seed=4))
+        train(net, ds, TrainConfig(epochs=1, seed=4))
+        first, second = calls[0], calls[len(calls) // 2]
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+    def test_two_calls_give_the_same_bytes(self):
+        ds = _uniform_dataset(2, seed=5)
+        net = build_network(NetworkConfig(), 5)
+        config = TrainConfig(epochs=2, batch_size=7, seed=5)
+        (a, report_a), (b, report_b) = train(net, ds, config), train(net, ds, config)
+        assert report_a.per_epoch_error == report_b.per_epoch_error
+        for sa, sb in zip(a.states, b.states):
+            if sa is not None:
+                assert sa.weights.tobytes() == sb.weights.tobytes()
+                assert sa.biases.tobytes() == sb.biases.tobytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_minflt counts minor page faults on Linux")
+    def test_a_warm_epoch_takes_few_page_faults(self, monkeypatch):
+        # Each batch of 10 used to allocate ~5 MB afresh and fault ~300 pages
+        # in; reusing the workspace's arrays keeps a warm epoch near 0.
+        import resource
+
+        faults = []
+        backward = training_module.network_backward
+
+        def spy(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            return grads
+
+        monkeypatch.setattr(training_module, "network_backward", spy)
+        ds = generate_synthetic(SynthSpec(per_class_count=20, seed=1), LabelMap())
+        train(build_network(NetworkConfig(), 1), ds,
+              TrainConfig(epochs=2, batch_size=10, seed=1))
+        assert len(faults) == 64
+        per_batch = (faults[63] - faults[31]) / 32
+        assert per_batch < 30, f"{per_batch:.1f} minor page faults per batch"
+
+
 class TestEvaluate:
     def test_oracle_stub_scores_hundred(self, monkeypatch):
         ds = _uniform_dataset(3, seed=12)
