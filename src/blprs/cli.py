@@ -142,15 +142,15 @@ def _cmd_synth(args) -> int:
     dataset = generate_synthetic(spec, labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    counters = {}
-    for sample in dataset.samples:
-        label = labels[sample.class_index]
-        class_dir = out / label
+    class_dirs = [out / label for label in labels.labels]
+    for class_dir in class_dirs:
         class_dir.mkdir(exist_ok=True)
-        n = counters.get(label, 0)
-        counters[label] = n + 1
+    counters = [0] * len(labels)
+    for sample in dataset.samples:
+        c = sample.class_index
         pixels = np.rint(sample.image[0] * 255.0).astype(np.uint8)
-        write_pgm(class_dir / f"{n:05d}.pgm", pixels)
+        write_pgm(class_dirs[c] / f"{counters[c]:05d}.pgm", pixels)
+        counters[c] += 1
     labels_payload = ("\n".join(labels.labels) + "\n").encode("utf-8")
     _atomic_write(out / "labels.txt", labels_payload)
     print(f"wrote {len(dataset)} samples across {len(labels)} classes to {out}")

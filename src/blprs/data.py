@@ -5,7 +5,9 @@ binary portable anymaps (PGM P5 / PPM P6, 8-bit), decoded here so loading
 stays dependency-free and bit-exact. The generator renders a distinct
 procedural stroke pattern per class and perturbs it with a random affine
 map (rotation, scale, translation, shear) plus Gaussian noise, standing in
-for a real collection of plate-character crops.
+for a real collection of plate-character crops. Its random draws keep a
+fixed order, image after image; the images of a class are warped 8 at a
+time, with the bytes of warping each one alone.
 """
 from __future__ import annotations
 
@@ -258,10 +260,16 @@ class SynthSpec:
         for name in ("rotation_range_deg", "scale_range",
                      "translate_range_px", "shear_range"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} must have finite bounds, got ({lo}, {hi})")
             if lo > hi:
                 raise ValueError(f"{name} is not well-ordered: ({lo}, {hi})")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"{name} is too wide to draw from: ({lo}, {hi})")
+        if self.scale_range[0] <= 0:
+            raise ValueError(f"scale_range must be positive, got {self.scale_range}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
 
 # One stroke pattern per class, drawn on a unit canvas. Segments are
@@ -296,6 +304,8 @@ _GLYPH_STROKES = (
 
 _STROKE_THICKNESS = 0.10
 _STROKE_SOFTNESS = 0.05
+# Images of one class warped together; larger chunks time no better.
+_WARP_CHUNK = 8
 
 
 def base_glyph(class_index: int) -> Tensor:
@@ -321,55 +331,116 @@ def base_glyph(class_index: int) -> Tensor:
     return ink
 
 
-def _affine_warp(img: np.ndarray, angle_deg: float, scale: float,
-                 shear: float, tx_px: float, ty_px: float) -> np.ndarray:
+def _affine_warp(img: np.ndarray, angle_deg, scale, shear, tx_px, ty_px,
+                 scratch: tuple) -> np.ndarray:
     """Sample ``img`` under the inverse of rotate*shear*scale about the
-    center plus translation, bilinear with zero fill outside."""
-    theta = math.radians(angle_deg)
-    rot = np.array([[math.cos(theta), -math.sin(theta)],
-                    [math.sin(theta), math.cos(theta)]])
-    shr = np.array([[1.0, shear], [0.0, 1.0]])
-    fwd = rot @ shr @ np.array([[scale, 0.0], [0.0, scale]])
-    inv = np.linalg.inv(fwd)
+    center plus translation, bilinear with zero fill outside.
+
+    Each parameter is a sequence with one entry per output image, and the
+    result is a new (k, n, n) array for k entries; ``generate_synthetic``
+    passes up to 8 images of one class at a time. The temporaries live in
+    ``scratch``, a ``_warp_scratch`` for at least k images. Every image is
+    computed with the same floating-point operations as when each was
+    warped on its own: stacked 2x2 ``@`` and ``np.linalg.inv`` work matrix
+    by matrix, and a tap outside the glyph reads the zero border of a
+    padded copy instead of being zeroed after the fact, so the bytes do
+    not depend on the chunking.
+    """
+    k = len(angle_deg)
+    wx, wy, ux, uy, weight, tap, x0, y0 = (a[:k] for a in scratch)
+    rot = np.array([[[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+                    for t in map(math.radians, angle_deg)])
+    shr = np.array([[[1.0, s], [0.0, 1.0]] for s in shear])
+    scl = np.array([[[s, 0.0], [0.0, s]] for s in scale])
+    inv = np.linalg.inv(rot @ shr @ scl)[:, :, :, None, None]
     n = img.shape[0]
     center = (n - 1) / 2.0
-    ys, xs = np.meshgrid(np.arange(n, dtype=np.float64),
-                         np.arange(n, dtype=np.float64), indexing="ij")
-    rel = np.stack([xs - center - tx_px, ys - center - ty_px])
-    src_x = inv[0, 0] * rel[0] + inv[0, 1] * rel[1] + center
-    src_y = inv[1, 0] * rel[0] + inv[1, 1] * rel[1] + center
-    x0 = np.floor(src_x).astype(np.intp)
-    y0 = np.floor(src_y).astype(np.intp)
-    wx = src_x - x0
-    wy = src_y - y0
-    out = np.zeros_like(img)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            yy, xx = y0 + dy, x0 + dx
-            inside = (yy >= 0) & (yy < n) & (xx >= 0) & (xx < n)
-            weight = (wy if dy else 1 - wy) * (wx if dx else 1 - wx)
-            vals = np.where(inside, img[np.clip(yy, 0, n - 1),
-                                        np.clip(xx, 0, n - 1)], 0.0)
-            out += weight * vals
+    grid = np.arange(n, dtype=np.float64) - center
+    # Relative coordinates vary along one axis only: x across columns, y down rows.
+    rel_x = (grid - np.asarray(tx_px, dtype=np.float64)[:, None])[:, None, :]
+    rel_y = (grid - np.asarray(ty_px, dtype=np.float64)[:, None])[:, :, None]
+    np.add(inv[:, 0, 0] * rel_x, inv[:, 0, 1] * rel_y, out=wx)
+    wx += center  # source x
+    np.add(inv[:, 1, 0] * rel_x, inv[:, 1, 1] * rel_y, out=wy)
+    wy += center  # source y
+    np.floor(wx, out=x0, casting="unsafe")
+    np.floor(wy, out=y0, casting="unsafe")
+    np.subtract(wx, x0, out=wx)
+    np.subtract(wy, y0, out=wy)
+    np.subtract(1, wx, out=ux)
+    np.subtract(1, wy, out=uy)
+    out = np.zeros((k, n, n))
+    taps = _bilinear_taps(img, y0, x0, tap)
+    for v, a, b in zip(taps, (uy, uy, wy, wy), (ux, wx, ux, wx)):
+        np.multiply(a, b, out=weight)
+        weight *= v
+        out += weight
     return out
 
 
+def _warp_scratch(k: int, n: int) -> tuple:
+    """Temporaries of ``_affine_warp`` for up to k images of side n: six
+    float arrays, then two integer ones. One reused for every chunk keeps
+    the chunks off fresh pages, and separate arrays stay small enough for
+    the allocator's heap rather than a mapping of their own."""
+    return (tuple(np.empty((k, n, n)) for _ in range(6))
+            + tuple(np.empty((k, n, n), dtype=np.intp) for _ in range(2)))
+
+
+def _bilinear_taps(img: np.ndarray, y0: np.ndarray, x0: np.ndarray, out: np.ndarray):
+    """Yield the pixels of the square ``img`` at (y0, x0), (y0, x0+1),
+    (y0+1, x0) and (y0+1, x0+1) in turn, each written into ``out`` and
+    0.0 where it falls outside the image. ``y0`` and ``x0`` are overwritten.
+
+    The image is copied into two zero rows and columns on every side, and
+    each corner is clamped into [-2, n]. Clamping keeps a tap that was
+    outside on the zero border, so one flat index per corner gathers all
+    four taps without a mask.
+    """
+    n = img.shape[0]
+    side = n + 4
+    padded = np.zeros((side, side))
+    padded[2:n + 2, 2:n + 2] = img
+    padded = padded.ravel()
+    np.clip(y0, -2, n, out=y0)
+    np.clip(x0, -2, n, out=x0)
+    y0 *= side
+    y0 += x0
+    y0 += 2 * side + 2  # flat index of the top-left tap
+    for offset in (0, 1, side, side + 1):
+        # Every index is in range; mode="clip" only spares take a buffered copy.
+        yield padded[offset:].take(y0, out=out, mode="clip")
+
+
 def generate_synthetic(spec: SynthSpec, labels: LabelMap) -> Dataset:
-    """Render per_class_count perturbed variants of every class glyph."""
+    """Render per_class_count perturbed variants of every class glyph.
+
+    Each image draws its five uniforms and then its noise in a fixed order,
+    one image after another; the warps of up to eight images of a class are
+    then rendered together. The bytes are those of warping one image at a
+    time.
+    """
     rng = np.random.default_rng(spec.seed)
+    scratch = _warp_scratch(_WARP_CHUNK, IMAGE_SIZE)
     samples = []
     for class_index in range(len(labels)):
         base = base_glyph(class_index)
-        for _ in range(spec.per_class_count):
-            angle = rng.uniform(*spec.rotation_range_deg)
-            scale = rng.uniform(*spec.scale_range)
-            tx = rng.uniform(*spec.translate_range_px)
-            ty = rng.uniform(*spec.translate_range_px)
-            shear = rng.uniform(*spec.shear_range)
-            img = _affine_warp(base, angle, scale, shear, tx, ty)
-            if spec.noise_std > 0:
-                img = img + rng.normal(0.0, spec.noise_std, img.shape)
-            samples.append(
-                Sample(np.clip(img, 0.0, 1.0)[None, :, :], class_index)
-            )
+        for start in range(0, spec.per_class_count, _WARP_CHUNK):
+            count = min(_WARP_CHUNK, spec.per_class_count - start)
+            draws, noise = [], []
+            for _ in range(count):
+                angle = rng.uniform(*spec.rotation_range_deg)
+                scale = rng.uniform(*spec.scale_range)
+                tx = rng.uniform(*spec.translate_range_px)
+                ty = rng.uniform(*spec.translate_range_px)
+                shear = rng.uniform(*spec.shear_range)
+                draws.append((angle, scale, shear, tx, ty))
+                if spec.noise_std > 0:
+                    noise.append(rng.normal(0.0, spec.noise_std, base.shape))
+            imgs = _affine_warp(base, *zip(*draws), scratch)
+            for img, z in zip(imgs, noise):
+                img += z
+            # A copy per image, so no sample keeps its whole chunk alive.
+            for img in np.clip(imgs, 0.0, 1.0, out=imgs):
+                samples.append(Sample(img[None, :, :].copy(), class_index))
     return Dataset(samples=samples, labels=labels)

@@ -2,9 +2,12 @@
 
 Everything here is deliberately written as plain nested loops so it shares
 no code path with the package under test, except the ``*_where_reference``
-kernels: verbatim copies of earlier vectorized kernels, kept so that the
-forms that replaced them can be shown to give the same bytes.
+kernels and ``generate_synthetic_reference``: verbatim copies of earlier
+vectorized code, kept so that the forms that replaced them can be shown to
+give the same bytes.
 """
+import math
+
 import numpy as np
 
 
@@ -109,6 +112,58 @@ def pool_argmax_where_reference(x):
     the pooled output: the (rows, cols) of the _takes/np.where scan above."""
     _, rows, cols = maxpool_where_reference(x)
     return rows, cols
+
+
+def _affine_warp_reference(img, angle_deg, scale, shear, tx_px, ty_px):
+    """The one-image glyph warp as it was before images were rendered in
+    chunks: every tap clipped into the glyph, then zeroed with np.where."""
+    theta = math.radians(angle_deg)
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]])
+    shr = np.array([[1.0, shear], [0.0, 1.0]])
+    fwd = rot @ shr @ np.array([[scale, 0.0], [0.0, scale]])
+    inv = np.linalg.inv(fwd)
+    n = img.shape[0]
+    center = (n - 1) / 2.0
+    ys, xs = np.meshgrid(np.arange(n, dtype=np.float64),
+                         np.arange(n, dtype=np.float64), indexing="ij")
+    rel = np.stack([xs - center - tx_px, ys - center - ty_px])
+    src_x = inv[0, 0] * rel[0] + inv[0, 1] * rel[1] + center
+    src_y = inv[1, 0] * rel[0] + inv[1, 1] * rel[1] + center
+    x0 = np.floor(src_x).astype(np.intp)
+    y0 = np.floor(src_y).astype(np.intp)
+    wx = src_x - x0
+    wy = src_y - y0
+    out = np.zeros_like(img)
+    for dy in (0, 1):
+        for dx in (0, 1):
+            yy, xx = y0 + dy, x0 + dx
+            inside = (yy >= 0) & (yy < n) & (xx >= 0) & (xx < n)
+            weight = (wy if dy else 1 - wy) * (wx if dx else 1 - wx)
+            vals = np.where(inside, img[np.clip(yy, 0, n - 1),
+                                        np.clip(xx, 0, n - 1)], 0.0)
+            out += weight * vals
+    return out
+
+
+def generate_synthetic_reference(spec, base_glyph, class_count=16):
+    """``generate_synthetic`` as it was when every image was warped on its
+    own: a list of ((1,32,32) image, class index) pairs."""
+    rng = np.random.default_rng(spec.seed)
+    samples = []
+    for class_index in range(class_count):
+        base = base_glyph(class_index)
+        for _ in range(spec.per_class_count):
+            angle = rng.uniform(*spec.rotation_range_deg)
+            scale = rng.uniform(*spec.scale_range)
+            tx = rng.uniform(*spec.translate_range_px)
+            ty = rng.uniform(*spec.translate_range_px)
+            shear = rng.uniform(*spec.shear_range)
+            img = _affine_warp_reference(base, angle, scale, shear, tx, ty)
+            if spec.noise_std > 0:
+                img = img + rng.normal(0.0, spec.noise_std, img.shape)
+            samples.append((np.clip(img, 0.0, 1.0)[None, :, :], class_index))
+    return samples
 
 
 def numeric_gradient(f, arr, step=1e-5):

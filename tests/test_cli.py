@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -59,6 +60,36 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {labels}:")
         assert "got 2" in err
+        assert not out.exists()
+
+    def test_tree_matches_the_golden(self, tmp_path):
+        # Digest computed when every image was warped on its own and every
+        # class directory was created once per image.
+        out = tmp_path / "ds"
+        assert main(["synth", "--out", str(out), "--per-class", "3", "--seed", "1"]) == 0
+        files = sorted((p.relative_to(out).as_posix().encode("utf-8"), p.read_bytes())
+                       for p in out.rglob("*") if p.is_file())
+        assert len(files) == 16 * 3 + 1
+        digest = hashlib.sha256()
+        for rel, data in files:
+            digest.update(b"%d:%s%d:" % (len(rel), rel, len(data)) + data)
+        assert digest.hexdigest() == (
+            "ca29d005d3b4c6c21f43ea3646d4c3326963700e2af32363bba4b6da92d591c6"
+        )
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--shear", "nan"], "shear_range"),
+        (["--rotation", "nan"], "rotation_range_deg"),
+        (["--translate", "inf"], "translate_range_px"),
+        (["--noise", "nan"], "noise_std"),
+        (["--scale-low", "0", "--scale-high", "0"], "scale_range"),
+        (["--scale-low", "-1.15", "--scale-high", "-0.85"], "scale_range"),
+    ])
+    def test_unrenderable_spec_fails_cleanly(self, capsys, tmp_path, flags, field):
+        out = tmp_path / "ds"
+        assert main(["synth", "--out", str(out), "--per-class", "1", *flags]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {field} [^\n]*\n", err), err
         assert not out.exists()
 
 

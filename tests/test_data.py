@@ -1,3 +1,5 @@
+import hashlib
+import math
 import re
 
 import numpy as np
@@ -14,6 +16,7 @@ from blprs.data import (
     SynthSpec,
     _atomic_write,
     _bilinear_resize,
+    _bilinear_taps,
     base_glyph,
     generate_synthetic,
     load_dataset_dir,
@@ -22,6 +25,7 @@ from blprs.data import (
     read_pnm,
     write_pgm,
 )
+from oracles import generate_synthetic_reference
 
 
 class TestLabelMap:
@@ -445,6 +449,125 @@ class TestGenerateSynthetic:
             SynthSpec(scale_range=(1.2, 0.8))
         with pytest.raises(ValueError):
             SynthSpec(noise_std=-0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rotation_range_deg", (-math.nan, math.nan)),
+        ("shear_range", (-math.nan, math.nan)),
+        ("translate_range_px", (-math.inf, math.inf)),
+        ("scale_range", (0.85, math.inf)),
+        ("rotation_range_deg", (-1e308, 1e308)),
+        ("scale_range", (0.0, 0.0)),
+        ("scale_range", (-1.0, 1.15)),
+        ("noise_std", math.nan),
+        ("noise_std", math.inf),
+    ])
+    def test_unrenderable_spec_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            SynthSpec(**{field: value})
+
+    def test_images_match_the_golden(self):
+        # Digest computed when every image was still warped on its own.
+        ds = generate_synthetic(SynthSpec(per_class_count=2, seed=1), LabelMap())
+        digest = hashlib.sha256(b"".join(s.image.tobytes() for s in ds.samples))
+        assert digest.hexdigest() == (
+            "4dccc0a393ee2b2bd8fffe2437748aaa1692b35b46aab63ef1d2bf735b8320bf"
+        )
+        assert [s.class_index for s in ds.samples] == [c for c in range(16) for _ in "ab"]
+
+
+def _synth_range(limit):
+    bound = st.floats(-limit, limit, allow_subnormal=False)
+    return st.tuples(bound, bound).map(lambda pair: tuple(sorted(pair)))
+
+
+def _narrow_or_wide(narrow, wide):
+    return st.one_of(_synth_range(narrow), _synth_range(wide))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(
+    per_class_count=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    noise_std=st.sampled_from([0.0, 0.05, 0.3]),
+    rotation=_narrow_or_wide(15.0, 180.0),
+    scale=st.one_of(
+        st.tuples(st.floats(0.85, 1.15), st.floats(0.85, 1.15)),
+        st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0)),
+    ).map(lambda pair: tuple(sorted(pair))),
+    translate=_narrow_or_wide(3.0, 60.0),  # 60 px puts every tap off the glyph
+    shear=_narrow_or_wide(0.15, 2.0),
+)
+def test_generate_synthetic_equals_the_one_image_reference(
+    per_class_count, seed, noise_std, rotation, scale, translate, shear
+):
+    spec = SynthSpec(
+        per_class_count=per_class_count,
+        rotation_range_deg=rotation,
+        scale_range=scale,
+        translate_range_px=translate,
+        shear_range=shear,
+        noise_std=noise_std,
+        seed=seed,
+    )
+    got = generate_synthetic(spec, LabelMap()).samples
+    want = generate_synthetic_reference(spec, base_glyph)
+    assert len(got) == len(want)
+    for sample, (image, class_index) in zip(got, want):
+        assert sample.class_index == class_index
+        assert sample.image.tobytes() == image.tobytes()
+
+
+class TestWarpRules:
+    """The numpy rules that let a chunk of images be warped together and
+    keep the bytes of warping each one alone."""
+
+    def test_stacked_inv_equals_the_per_matrix_inv(self):
+        rng = np.random.default_rng(11)
+        for k in (1, 3, 8):
+            for stack in rng.uniform(-2.0, 2.0, (200, k, 2, 2)):
+                inv = np.linalg.inv(stack)
+                for i in range(k):
+                    assert inv[i].tobytes() == np.linalg.inv(stack[i]).tobytes()
+
+    def test_stacked_matmul_equals_the_per_image_matmul(self):
+        rng = np.random.default_rng(12)
+        for k in (1, 3, 8):
+            a, b, c = rng.uniform(-2.0, 2.0, (3, 200, k, 2, 2))
+            b[..., 1, 0] = 0.0  # the zeros of a shear and of a scale matrix
+            c[..., 0, 1] = c[..., 1, 0] = 0.0
+            for sa, sb, sc in zip(a, b, c):
+                stacked = sa @ sb @ sc
+                for i in range(k):
+                    assert stacked[i].tobytes() == (sa[i] @ sb[i] @ sc[i]).tobytes()
+
+    def test_flat_gather_equals_the_clipped_where(self):
+        rng = np.random.default_rng(13)
+        n = 32
+        img = base_glyph(8) + rng.uniform(0.0, 0.5, (n, n))
+        edges = np.array([-50, -3, -2, -1, 0, 1, n - 2, n - 1, n, n + 1, n + 2, 70])
+        corners = [
+            [a[None] for a in np.meshgrid(edges, edges, indexing="ij")],
+            rng.integers(-45, 78, (2, 8, n, n)),
+        ]
+        for y0, x0 in corners:
+            taps = _bilinear_taps(img, y0.copy(), x0.copy(), np.empty(y0.shape))
+            for tap, (dy, dx) in zip(taps, ((0, 0), (0, 1), (1, 0), (1, 1))):
+                yy, xx = y0 + dy, x0 + dx
+                inside = (yy >= 0) & (yy < n) & (xx >= 0) & (xx < n)
+                want = np.where(inside, img[np.clip(yy, 0, n - 1),
+                                            np.clip(xx, 0, n - 1)], 0.0)
+                assert tap.tobytes() == want.tobytes()
+
+    def test_floor_into_an_int_buffer_equals_floor_then_astype(self):
+        rng = np.random.default_rng(14)
+        src = rng.uniform(-80.0, 80.0, (8, 32, 32))
+        src[0, 0, :6] = [-2.0, -1.0, -0.0, 0.0, 1.0, 31.0]
+        corners = np.empty(src.shape, dtype=np.intp)
+        np.floor(src, out=corners, casting="unsafe")
+        assert corners.tobytes() == np.floor(src).astype(np.intp).tobytes()
+        frac = src.copy()
+        np.subtract(frac, corners, out=frac)
+        assert frac.tobytes() == (src - corners).tobytes()
 
 
 def test_all_paths_produce_valid_samples(tmp_path):
