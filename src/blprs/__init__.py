@@ -15,7 +15,6 @@ from .layers import (
     ForwardTrace,
     LayerSpec,
     LayerState,
-    Workspace,
     dropout_mask,
     layer_backward,
     layer_forward,
@@ -56,7 +55,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 __all__ = [
     "ArgmaxMask", "Tensor", "conv2d_backward", "conv2d_valid", "maxpool2x2",
     "maxpool2x2_backward", "pool_argmax", "sigmoid_map", "tensor_create",
-    "ForwardTrace", "LayerSpec", "LayerState", "Workspace", "dropout_mask",
+    "ForwardTrace", "LayerSpec", "LayerState", "dropout_mask",
     "layer_backward", "layer_forward", "mse_loss",
     "Network", "NetworkConfig", "ParamCountReport", "build_network",
     "count_parameters", "network_backward", "network_forward", "predict",

@@ -266,8 +266,18 @@ class SynthSpec:
                 raise ValueError(f"{name} is not well-ordered: ({lo}, {hi})")
             if not math.isfinite(hi - lo):
                 raise ValueError(f"{name} is too wide to draw from: ({lo}, {hi})")
-        if self.scale_range[0] <= 0:
-            raise ValueError(f"scale_range must be positive, got {self.scale_range}")
+        # These limits keep every source coordinate of a warp within 1.5e9 px
+        # (1/scale * (1 + |shear|) * (|translate| + 16) * sqrt(2)), so the
+        # floor to intp and the taps never overflow.
+        for name, limit in (("translate_range_px", 1e4), ("shear_range", 100.0)):
+            lo, hi = getattr(self, name)
+            if max(-lo, hi) > limit:
+                raise ValueError(
+                    f"{name} must lie in [{-limit:g}, {limit:g}], got ({lo}, {hi})"
+                )
+        lo, hi = self.scale_range
+        if lo < 1e-3 or hi > 1e3:
+            raise ValueError(f"scale_range must lie in [0.001, 1000], got ({lo}, {hi})")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 

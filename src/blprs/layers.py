@@ -6,8 +6,8 @@ when an rng is given, with inverted scaling so no rng means the identity.
 
 ``layer_forward`` runs one image. ``layer_backward`` runs one image or a
 mini-batch: a trace whose arrays carry a leading batch axis gives
-parameter gradients summed over that batch. Given a ``Workspace``, it puts
-the fully connected weight gradient into the array the previous call used.
+parameter gradients summed over that batch. Given the gradients an
+earlier call returned, it overwrites their fully connected weight array.
 """
 from __future__ import annotations
 
@@ -70,31 +70,6 @@ class LayerState:
     biases: Optional[np.ndarray] = None
 
 
-class Workspace:
-    """Arrays that one mini-batch after another reuses, keyed by (name, shape).
-
-    Asking again for a name and shape gives the same array back, to be
-    overwritten; a new shape, say a short last batch's, gets its own.
-    ``part(name)`` is a workspace of its own, so that two layers whose
-    arrays share a name and shape never share the arrays.
-    """
-
-    def __init__(self):
-        self._arrays = {}
-
-    def array(self, name, shape) -> np.ndarray:
-        """The float64 array kept under (name, shape), made on first use."""
-        key = (name, tuple(shape))
-        if key not in self._arrays:
-            self._arrays[key] = np.empty(shape)
-        return self._arrays[key]
-
-    def part(self, name) -> "Workspace":
-        if name not in self._arrays:
-            self._arrays[name] = Workspace()
-        return self._arrays[name]
-
-
 @dataclass
 class ForwardTrace:
     """The values the matching backward call needs.
@@ -109,7 +84,6 @@ class ForwardTrace:
     """
 
     input: Tensor
-    input_shape: tuple
     post_activation: Optional[Tensor] = None
     dropout_mask: Optional[Tensor] = None
     output_shape: tuple = ()
@@ -132,7 +106,7 @@ def layer_forward(
 ) -> tuple[Tensor, ForwardTrace]:
     """Run one layer forward; dropout applies exactly when an rng is given."""
     x = as_tensor(x)
-    trace = ForwardTrace(input=x, input_shape=x.shape)
+    trace = ForwardTrace(input=x)
 
     if spec.kind == CONV:
         out = conv2d_valid(x, state.weights, state.biases)
@@ -167,15 +141,16 @@ def layer_backward(
     trace: ForwardTrace,
     grad_out: Tensor,
     input_grad: bool = True,
-    workspace: Optional[Workspace] = None,
+    previous: Optional[LayerState] = None,
 ) -> tuple[Optional[Tensor], Optional[LayerState]]:
     """Backpropagate through one layer; returns (grad_input, param grads).
 
     A trace with a leading batch axis takes a ``grad_out`` with the same
     axis and gives parameter gradients summed over it in image order. With
     ``input_grad=False`` a convolution skips grad_input and returns None.
-    The fully connected weight gradient goes into ``workspace``'s array;
-    without one, into a new array.
+    A fully connected layer given ``previous``, the gradients an earlier
+    call returned, writes its weight gradient into ``previous.weights``;
+    without it, into a new array.
     """
     grad_out = as_tensor(grad_out)
     if grad_out.shape != trace.output_shape:
@@ -183,8 +158,6 @@ def layer_backward(
             f"grad_out shape {grad_out.shape} does not match forward "
             f"output {trace.output_shape}"
         )
-    if workspace is None:
-        workspace = Workspace()
     g = grad_out
     if trace.dropout_mask is not None:
         g = g * trace.dropout_mask
@@ -200,14 +173,14 @@ def layer_backward(
         return grad_input, LayerState(weights=grad_w, biases=grad_b)
     if spec.kind == POOL:
         mask = pool_argmax(trace.input, y)
-        return maxpool2x2_backward(g, mask, trace.input_shape), None
+        return maxpool2x2_backward(g, mask, trace.input.shape), None
     # FC. Rows are images. The einsum adds the per-image outer products in
     # image order from +0.0; one G.T @ V GEMM would round differently.
     g = g.reshape(-1, state.weights.shape[0])
     v = trace.input.reshape(len(g), -1)
     grad_w = np.einsum("ni,nj->ij", g, v,
-                       out=workspace.array("weights", state.weights.shape))
-    grad_input = np.matmul(state.weights.T, g[:, :, None]).reshape(trace.input_shape)
+                       out=None if previous is None else previous.weights)
+    grad_input = np.matmul(state.weights.T, g[:, :, None]).reshape(trace.input.shape)
     return grad_input, LayerState(weights=grad_w, biases=g.sum(axis=0, initial=0.0))
 
 

@@ -24,7 +24,6 @@ from .layers import (
     ForwardTrace,
     LayerSpec,
     LayerState,
-    Workspace,
     layer_backward,
     layer_forward,
 )
@@ -163,13 +162,11 @@ def stack_traces(per_image: Sequence[list[ForwardTrace]]) -> list[ForwardTrace]:
 
     batch = []
     for layer in zip(*per_image):
-        first = layer[0]
         batch.append(ForwardTrace(
             input=stack([t.input for t in layer]),
-            input_shape=(len(layer), *first.input_shape),
             post_activation=stack([t.post_activation for t in layer]),
             dropout_mask=stack([t.dropout_mask for t in layer]),
-            output_shape=(len(layer), *first.output_shape),
+            output_shape=(len(layer), *layer[0].output_shape),
         ))
     return batch
 
@@ -178,15 +175,16 @@ def network_backward(
     net: Network,
     traces: list[ForwardTrace],
     target: Tensor,
-    workspace: Optional[Workspace] = None,
+    previous: Optional[list] = None,
 ) -> list:
     """Gradients of the half-sum-of-squares loss w.r.t. every weight and bias.
 
     Takes one image's traces and target, or ``stack_traces`` of a mini-batch
     and the stacked targets; a batch's gradients are summed over its images.
-    Given a ``workspace``, the fully connected weight gradients are the
-    arrays the last call with it returned, overwritten; without one, every
-    call returns new arrays.
+    Given ``previous``, the list an earlier call returned, the fully
+    connected weight gradients are written into that list's arrays, so
+    each mini-batch overwrites the last one's; without it, every call
+    returns new arrays.
     """
     target = as_tensor(target)
     scores_shape = traces[-1].output_shape
@@ -194,8 +192,6 @@ def network_backward(
         raise ValueError(
             f"target shape {target.shape} does not match scores {scores_shape}"
         )
-    if workspace is None:
-        workspace = Workspace()
     grad = traces[-1].post_activation - target
     specs = net.config.layer_specs
     grads: list[Optional[LayerState]] = [None] * len(traces)
@@ -203,7 +199,7 @@ def network_backward(
         # Nothing reads the gradient w.r.t. the image, so C1 skips it.
         grad, grads[i] = layer_backward(
             specs[i], net.states[i], traces[i], grad, input_grad=i > 0,
-            workspace=workspace.part(i),
+            previous=None if previous is None else previous[i],
         )
     return grads
 

@@ -6,11 +6,11 @@ dropout mask in turn; the backward pass runs once per mini-batch on the
 stacked traces (so its memory grows with the batch size) and builds the
 pooling argmax masks there, from the pooled maps, where it also takes the
 convolutions' sigmoid derivatives; evaluation builds none. Its summed
-gradients are averaged over the batch. Each ``train`` call keeps one
-workspace that holds the fully connected weight gradients, the largest
-arrays a step returns: every batch reuses them, so the heap stays in place
-and after the first batch a step takes almost no fresh pages from the
-system. The workspace goes when the call returns.
+gradients are averaged over the batch. Each batch hands the previous
+batch's gradients back to the backward pass, which overwrites their fully
+connected weight arrays, the largest a step returns: the heap stays in
+place, and after the first batch a step takes almost no fresh pages from
+the system. A ``train`` call starts from none, so no two calls share them.
 The per-epoch mean sample loss and wall time feed the learning-curve and
 timing reports.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, one_hot
-from .layers import LayerState, Workspace, mse_loss
+from .layers import LayerState, mse_loss
 from .network import (
     Network,
     network_backward,
@@ -134,7 +134,7 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
         for s in net.states
     ])
 
-    workspace = Workspace()
+    grads = None
     per_epoch_error = []
     per_epoch_seconds = []
     loop_start = time.perf_counter()
@@ -150,7 +150,7 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
                 loss, _ = mse_loss(scores, targets[i])
                 epoch_loss += loss
                 traces.append(image_traces)
-            grads = network_backward(net, stack_traces(traces), targets[batch], workspace)
+            grads = network_backward(net, stack_traces(traces), targets[batch], grads)
             inv = 1.0 / len(batch)
             for g in grads:
                 if g is not None:
@@ -184,6 +184,12 @@ def evaluate(net: Network, test_set: Dataset) -> EvalReport:
     if len(test_set) == 0:
         raise ValueError("test set is empty")
     k = net.config.class_count
+    for s in test_set.samples:
+        if not 0 <= s.class_index < k:
+            raise ValueError(
+                f"sample class index {s.class_index} is outside the network's "
+                f"{k} classes"
+            )
     confusion = np.zeros((k, k), dtype=np.int64)
     for s in test_set.samples:
         predicted, _ = predict(net, s.image)

@@ -84,6 +84,11 @@ class TestSynth:
         (["--noise", "nan"], "noise_std"),
         (["--scale-low", "0", "--scale-high", "0"], "scale_range"),
         (["--scale-low", "-1.15", "--scale-high", "-0.85"], "scale_range"),
+        (["--translate", "1e19"], "translate_range_px"),
+        (["--translate", "1e300"], "translate_range_px"),
+        (["--scale-low", "1e-300", "--scale-high", "1e-300"], "scale_range"),
+        (["--scale-low", "1", "--scale-high", "1e308"], "scale_range"),
+        (["--shear", "1e300"], "shear_range"),
     ])
     def test_unrenderable_spec_fails_cleanly(self, capsys, tmp_path, flags, field):
         out = tmp_path / "ds"

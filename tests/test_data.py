@@ -460,10 +460,27 @@ class TestGenerateSynthetic:
         ("scale_range", (-1.0, 1.15)),
         ("noise_std", math.nan),
         ("noise_std", math.inf),
+        ("translate_range_px", (-1e19, 1e19)),
+        ("translate_range_px", (-10001.0, 0.0)),
+        ("shear_range", (-1e300, 1e300)),
+        ("shear_range", (0.0, 101.0)),
+        ("scale_range", (1e-300, 1e-300)),
+        ("scale_range", (0.0009, 1.0)),
+        ("scale_range", (1.0, 1001.0)),
     ])
     def test_unrenderable_spec_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             SynthSpec(**{field: value})
+
+    @pytest.mark.parametrize("scale", [(1e-3, 1e-3), (1e3, 1e3)])
+    @pytest.mark.parametrize("shear", [(-100.0, -100.0), (100.0, 100.0)])
+    def test_the_widest_accepted_spec_renders_without_warnings(self, scale, shear):
+        spec = SynthSpec(per_class_count=2, rotation_range_deg=(-180.0, 180.0),
+                         scale_range=scale, translate_range_px=(-1e4, 1e4),
+                         shear_range=shear, seed=3)
+        with np.errstate(all="raise"):
+            ds = generate_synthetic(spec, LabelMap())
+        assert all(0.0 <= s.image.min() <= s.image.max() <= 1.0 for s in ds.samples)
 
     def test_images_match_the_golden(self):
         # Digest computed when every image was still warped on its own.

@@ -180,8 +180,7 @@ class TestFullyConnectedBatchOrder:
         v = rng.random((n, inputs))
         v[rng.random(v.shape) < 0.1] = -0.0
         state = LayerState(rng.standard_normal((units, inputs)), np.zeros(units))
-        trace = ForwardTrace(input=v.reshape(n, *input_shape),
-                             input_shape=(n, *input_shape), output_shape=(n, units))
+        trace = ForwardTrace(input=v.reshape(n, *input_shape), output_shape=(n, units))
 
         grad_input, grads = layer_backward(LayerSpec(FC, units), state, trace, g)
 

@@ -254,6 +254,32 @@ class TestNetworkBackward:
             assert got.weights.tobytes() == weights.tobytes()
             assert got.biases.tobytes() == biases.tobytes()
 
+    def test_earlier_gradients_are_overwritten_with_the_same_bytes(self):
+        net = build_network(NetworkConfig(), 17)
+        rng = np.random.default_rng(8)
+
+        def batch(n):
+            traces = [network_forward(net, rng.random((1, 32, 32)), rng)[1] for _ in range(n)]
+            return stack_traces(traces), np.eye(16)[rng.integers(16, size=n)]
+
+        earlier = network_backward(net, *batch(3))
+        stacked, targets = batch(2)  # a short last batch reuses them too
+        fresh = network_backward(net, stacked, targets)
+        reused = network_backward(net, stacked, targets, earlier)
+        for got, want in zip(reused, fresh):
+            if want is None:
+                assert got is None
+                continue
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.biases.tobytes() == want.biases.tobytes()
+        assert reused[4].weights is earlier[4].weights
+        assert reused[5].weights is earlier[5].weights
+
+        def arrays(grads):
+            return [a for g in grads if g is not None for a in (g.weights, g.biases)]
+
+        assert not any(np.shares_memory(a, b) for a in arrays(fresh) for b in arrays(earlier))
+
     def test_stacked_traces_carry_the_batch_axis(self):
         net = build_network(NetworkConfig(), 15)
         rng = np.random.default_rng(6)
@@ -262,7 +288,7 @@ class TestNetworkBackward:
         assert [t.output_shape for t in stacked] == [
             (3, 6, 28, 28), (3, 6, 14, 14), (3, 12, 10, 10), (3, 12, 5, 5), (3, 300), (3, 16),
         ]
-        assert stacked[1].input.shape == stacked[1].input_shape == (3, 6, 28, 28)
+        assert stacked[1].input.shape == (3, 6, 28, 28)
         assert pool_argmax(stacked[1].input).shape == (3, 6, 14, 14)
         assert stacked[4].dropout_mask.shape == (3, 300) and stacked[5].dropout_mask is None
         assert np.array_equal(stacked[0].input[2], traces[2][0].input)

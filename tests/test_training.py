@@ -428,3 +428,13 @@ class TestEvaluate:
         net = build_network(SMALL_NET, 1)
         with pytest.raises(ValueError, match="empty"):
             evaluate(net, Dataset(samples=[], labels=LabelMap()))
+
+    def test_a_class_the_network_cannot_output_is_named(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training_module, "predict",
+                            lambda net, img: calls.append(img) or (0, np.zeros(4)))
+        net = build_network(NetworkConfig(class_count=4), 1)
+        ds = generate_synthetic(SynthSpec(per_class_count=1, seed=1), LabelMap())
+        with pytest.raises(ValueError, match="class index 4 .* 4 classes"):
+            evaluate(net, ds)
+        assert calls == []
