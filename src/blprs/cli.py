@@ -70,13 +70,13 @@ def _cmd_train(args) -> int:
             raise ValueError(f"{path}: directory {parent} does not exist")
         if Path(path).is_dir():
             raise ValueError(f"{path}: is a directory, not a file path")
-    dataset, labels = _load_data_dir(args.data)
-    train_set, test_set = split_dataset(dataset, args.split, args.seed)
-    config = NetworkConfig(dropout_rate=args.dropout)
-    net = build_network(config, seed=args.seed)
     tc = TrainConfig(
         epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch, seed=args.seed
     )
+    config = NetworkConfig(dropout_rate=args.dropout)
+    dataset, labels = _load_data_dir(args.data)
+    train_set, test_set = split_dataset(dataset, args.split, args.seed)
+    net = build_network(config, seed=args.seed)
     net, report = train(net, train_set, tc)
     save_checkpoint(net, labels, args.out)
     if args.curve:

@@ -2,12 +2,15 @@
 
 Samples are 32x32 single-channel float64 images in [0,1]. Image files are
 binary portable anymaps (PGM P5 / PPM P6, 8-bit), decoded here so loading
-stays dependency-free and bit-exact. The generator renders a distinct
-procedural stroke pattern per class and perturbs it with a random affine
-map (rotation, scale, translation, shear) plus Gaussian noise, standing in
-for a real collection of plate-character crops. Its random draws keep a
-fixed order, image after image; the images of a class are warped 8 at a
-time, with the bytes of warping each one alone.
+stays dependency-free and bit-exact. A dataset tree is decoded one class
+directory at a time, with one normalization per raw image shape; each
+image's bytes equal those of ``normalize_image(read_pnm(path))``. The
+generator renders a distinct procedural stroke pattern per class and
+perturbs it with a random affine map (rotation, scale, translation, shear)
+plus Gaussian noise, standing in for a real collection of plate-character
+crops. Its random draws keep a fixed order, image after image; the images
+of a class are warped 8 at a time, with the bytes of warping each one
+alone.
 """
 from __future__ import annotations
 
@@ -108,7 +111,8 @@ def one_hot(class_index: int, class_count: int) -> Tensor:
 
 def read_pnm(path) -> np.ndarray:
     """Read a binary PGM/PPM file into a uint8 (H,W) or (H,W,3) array."""
-    raw = Path(path).read_bytes()
+    with open(path, "rb", buffering=0) as f:
+        raw = f.read()
     if raw[:2] not in (b"P5", b"P6"):
         raise ValueError(f"{path}: not a binary PGM/PPM file")
     channels = 1 if raw[:2] == b"P5" else 3
@@ -168,28 +172,37 @@ def normalize_image(raw: np.ndarray) -> Tensor:
     A 32x32 image is only scaled; any other size is bilinear-resampled to
     32x32 first. Non-finite pixels are rejected with ValueError.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim == 3 and raw.shape[2] == 3:
-        gray = (0.299 * raw[:, :, 0] + 0.587 * raw[:, :, 1] + 0.114 * raw[:, :, 2])
-    elif raw.ndim == 2:
-        gray = raw
+    return _normalize_stack(np.asarray(raw)[None])[0]
+
+
+def _normalize_stack(raw) -> Tensor:
+    """``normalize_image`` of each image in an (N,H,W) or (N,H,W,3) stack, as
+    (N,1,32,32); a list of same-shaped images is a stack too. Every step is
+    elementwise, so each image gets the bytes it gets on its own."""
+    pixels = np.array(raw, dtype=np.float64)  # the one copy; scaled in place
+    if pixels.ndim == 4 and pixels.shape[3] == 3:
+        gray = 0.299 * pixels[..., 0] + 0.587 * pixels[..., 1] + 0.114 * pixels[..., 2]
+    elif pixels.ndim == 3:
+        gray = pixels
     else:
-        raise ValueError(f"expected (H,W) or (H,W,3) pixels, got shape {raw.shape}")
+        raise ValueError(
+            f"expected (H,W) or (H,W,3) pixels, got shape {pixels.shape[1:]}"
+        )
     if gray.size == 0:
         raise ValueError("empty image")
     if not np.isfinite(gray).all():
         raise ValueError("image has non-finite pixels")
-    scaled = gray / 255.0
-    if scaled.shape != (IMAGE_SIZE, IMAGE_SIZE):
+    gray /= 255.0
+    if gray.shape[1:] != (IMAGE_SIZE, IMAGE_SIZE):
         # At scale 1 the resample is the identity (every weight is 0), so
         # skipping it for 32x32 input returns the same bytes.
-        scaled = _bilinear_resize(scaled, IMAGE_SIZE, IMAGE_SIZE)
-    return np.clip(scaled, 0.0, 1.0)[None, :, :]
+        gray = _bilinear_resize(gray, IMAGE_SIZE, IMAGE_SIZE)
+    return np.clip(gray, 0.0, 1.0, out=gray)[:, None]
 
 
 def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Pixel-center bilinear resampling with edge clamping."""
-    in_h, in_w = img.shape
+    """Pixel-center bilinear resampling of the last two axes, with edge clamping."""
+    in_h, in_w = img.shape[-2:]
     ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
     xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
     ys = np.clip(ys, 0.0, in_h - 1.0)
@@ -200,8 +213,8 @@ def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, in_w - 1)
     wy = (ys - y0)[:, None]
     wx = (xs - x0)[None, :]
-    top = img[np.ix_(y0, x0)] * (1 - wx) + img[np.ix_(y0, x1)] * wx
-    bottom = img[np.ix_(y1, x0)] * (1 - wx) + img[np.ix_(y1, x1)] * wx
+    top = img[..., y0[:, None], x0] * (1 - wx) + img[..., y0[:, None], x1] * wx
+    bottom = img[..., y1[:, None], x0] * (1 - wx) + img[..., y1[:, None], x1] * wx
     return top * (1 - wy) + bottom * wy
 
 
@@ -211,8 +224,13 @@ def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def load_dataset_dir(root, labels: LabelMap) -> Dataset:
     """Load `<root>/<label>/<file>` trees of PGM/PPM images, lexicographically.
 
-    A directory inside a class directory is skipped; a symbolic link there
-    that leads to no file or directory raises ValueError naming it.
+    The tree is decoded one class directory at a time: each file is read
+    with ``read_pnm``, and the images of one raw shape are normalized
+    together, so each sample's bytes equal ``normalize_image(read_pnm(path))``.
+    A sample's image is a view of its shape group's array, which holds
+    nothing else. A directory inside a class directory is skipped; a
+    symbolic link there that leads to no file or directory raises
+    ValueError naming it.
     """
     root = Path(root)
     subdirs = sorted(p for p in root.iterdir() if p.is_dir())
@@ -226,16 +244,22 @@ def load_dataset_dir(root, labels: LabelMap) -> Dataset:
             raise ValueError(
                 f"{root}: subdirectory {sub.name!r} is not in the label map"
             ) from None
-        names = []
+        paths = []
         with os.scandir(sub) as entries:
             for e in entries:
                 if e.is_file():
-                    names.append(e.name)
+                    paths.append(e.path)
                 elif e.is_symlink() and not e.is_dir():
-                    raise ValueError(f"{sub / e.name}: symbolic link to no file")
-        names.sort()
-        for name in names:
-            samples.append(Sample(normalize_image(read_pnm(sub / name)), class_index))
+                    raise ValueError(f"{e.path}: symbolic link to no file")
+        paths.sort()  # one directory prefix, so this is the order of the names
+        raws = [read_pnm(path) for path in paths]
+        by_shape = {}
+        for i, raw in enumerate(raws):
+            by_shape.setdefault(raw.shape, []).append(i)
+        images = {}
+        for indices in by_shape.values():
+            images.update(zip(indices, _normalize_stack([raws[i] for i in indices])))
+        samples.extend(Sample(images[i], class_index) for i in range(len(raws)))
     if not samples:
         raise ValueError(f"{root}: no image files found")
     return Dataset(samples=samples, labels=labels)
@@ -280,6 +304,8 @@ class SynthSpec:
             raise ValueError(f"scale_range must lie in [0.001, 1000], got ({lo}, {hi})")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # One stroke pattern per class, drawn on a unit canvas. Segments are

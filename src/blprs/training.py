@@ -52,6 +52,8 @@ class TrainConfig:
             )
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -89,6 +89,7 @@ class TestSynth:
         (["--scale-low", "1e-300", "--scale-high", "1e-300"], "scale_range"),
         (["--scale-low", "1", "--scale-high", "1e308"], "scale_range"),
         (["--shear", "1e300"], "shear_range"),
+        (["--seed", "-1"], "seed"),
     ])
     def test_unrenderable_spec_fails_cleanly(self, capsys, tmp_path, flags, field):
         out = tmp_path / "ds"
@@ -134,6 +135,23 @@ class TestTrainCommand:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_negative_seed_is_named_before_the_data_is_read(
+        self, capsys, monkeypatch, synth_dir, tmp_path
+    ):
+        def no_loading(*args):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(cli_module, "load_dataset_dir", no_loading)
+        model = tmp_path / "m.blpr"
+        code = main([
+            "train", "--data", str(synth_dir), "--epochs", "1",
+            "--seed", "-1", "--out", str(model),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: seed [^\n]*\n", err), err
         assert not model.exists()
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])

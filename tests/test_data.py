@@ -1,6 +1,8 @@
 import hashlib
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +243,15 @@ class TestPnmIo:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*digits"):
             read_pnm(path)
 
+    def test_large_ppm_is_read_whole_into_a_writable_array_of_its_own(self, tmp_path):
+        pixels = np.random.default_rng(8).integers(0, 256, (300, 400, 3), dtype=np.uint8)
+        path = tmp_path / "big.ppm"
+        path.write_bytes(b"P6\n400 300\n255\n" + pixels.tobytes())
+        got = read_pnm(path)
+        assert got.shape == (300, 400, 3)
+        assert got.tobytes() == pixels.tobytes()
+        assert got.flags.writeable and got.flags.owndata
+
     def test_longest_accepted_header_field(self, tmp_path):
         path = tmp_path / "img.pgm"
         width = b"2".rjust(PNM_MAX_FIELD_DIGITS, b"0")
@@ -394,6 +405,66 @@ class TestLoadDatasetDir:
         with pytest.raises(ValueError, match="no class"):
             load_dataset_dir(tmp_path, LabelMap())
 
+    def test_images_are_contiguous_and_share_no_memory(self, tmp_path):
+        labels = LabelMap()
+        rng = np.random.default_rng(7)
+        for label in labels.labels[:3]:
+            d = tmp_path / label
+            d.mkdir()
+            for n, shape in enumerate([(32, 32), (20, 45), (32, 32), (20, 45), (1, 1)]):
+                write_pgm(d / f"{n}.pgm", rng.integers(0, 256, shape, dtype=np.uint8))
+            _write_pnm(d / "5.ppm", rng.integers(0, 256, (32, 32, 3), dtype=np.uint8))
+        images = [s.image for s in load_dataset_dir(tmp_path, labels).samples]
+        assert len(images) == 18
+        for image in images:
+            assert image.shape == (1, 32, 32) and image.dtype == np.float64
+            assert image.flags.c_contiguous
+        for i, a in enumerate(images):
+            assert not any(np.shares_memory(a, b) for b in images[i + 1:])
+
+
+def _write_pnm(path, pixels):
+    """Write a uint8 (H,W) array as P5 or an (H,W,3) array as P6."""
+    h, w = pixels.shape[:2]
+    magic = b"P5" if pixels.ndim == 2 else b"P6"
+    path.write_bytes(magic + b"\n%d %d\n255\n" % (w, h) + pixels.tobytes())
+
+
+_TREE_FILE = st.one_of(
+    st.just((32, 32)),
+    st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    st.tuples(st.integers(1, 40), st.integers(1, 40), st.just(3)),
+)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    classes=st.lists(
+        st.lists(st.tuples(st.text("ab01_", min_size=1, max_size=4), _TREE_FILE),
+                 min_size=1, max_size=8, unique_by=lambda f: f[0]),
+        min_size=1, max_size=4,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_load_dataset_dir_equals_per_file_decoding(tmp_path, classes, seed):
+    labels = LabelMap()
+    rng = np.random.default_rng(seed)
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    for label, files in zip(labels.labels[::5], classes):
+        (root / label).mkdir()
+        for name, shape in files:
+            _write_pnm(root / label / name, rng.integers(0, 256, shape, dtype=np.uint8))
+    want = [
+        (normalize_image(read_pnm(path)), labels.index_of(d.name))
+        for d in sorted(root.iterdir()) for path in sorted(d.iterdir())
+    ]
+    got = load_dataset_dir(root, labels).samples
+    assert len(got) == len(want)
+    for sample, (image, class_index) in zip(got, want):
+        assert sample.class_index == class_index
+        assert sample.image.tobytes() == image.tobytes()
+
 
 class TestGenerateSynthetic:
     def test_counts_shapes_and_range(self):
@@ -467,6 +538,7 @@ class TestGenerateSynthetic:
         ("scale_range", (1e-300, 1e-300)),
         ("scale_range", (0.0009, 1.0)),
         ("scale_range", (1.0, 1001.0)),
+        ("seed", -1),
     ])
     def test_unrenderable_spec_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):

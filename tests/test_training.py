@@ -302,14 +302,15 @@ class TestTrain:
             dict(epochs=1, learning_rate=float("inf")),
             dict(epochs=1, learning_rate=float("-inf")),
             dict(epochs=1, batch_size=0),
+            dict(epochs=1, seed=-1),
         ):
             with pytest.raises(ValueError):
                 TrainConfig(**kwargs)
 
 
-class TestWorkspace:
-    """``train`` keeps the fully connected weight gradients in one workspace
-    per call."""
+class TestPreviousBatchGradients:
+    """``train`` writes each batch's fully connected weight gradients over the
+    previous batch's, and one call never reuses another call's."""
 
     def _spy(self, monkeypatch):
         calls = []
@@ -332,7 +333,7 @@ class TestWorkspace:
             assert all(a is b for a, b in zip(weights, calls[0]))
         assert not np.shares_memory(*calls[0])
 
-    def test_each_call_has_its_own_workspace(self, monkeypatch):
+    def test_a_call_never_writes_over_an_earlier_calls_gradients(self, monkeypatch):
         calls = self._spy(monkeypatch)
         ds = _uniform_dataset(1)
         net = build_network(NetworkConfig(), 4)
@@ -356,7 +357,8 @@ class TestWorkspace:
                         reason="ru_minflt counts minor page faults on Linux")
     def test_a_warm_epoch_takes_few_page_faults(self, monkeypatch):
         # Each batch of 10 used to allocate ~5 MB afresh and fault ~300 pages
-        # in; reusing the workspace's arrays keeps a warm epoch near 0.
+        # in; writing over the previous batch's gradients keeps a warm epoch
+        # near 0.
         import resource
 
         faults = []
