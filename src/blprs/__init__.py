@@ -1,7 +1,6 @@
 """From-scratch CNN engine and CLI for 16-class plate-character recognition."""
 
 from .tensor import (
-    ArgmaxMask,
     Tensor,
     conv2d_backward,
     conv2d_valid,
@@ -12,7 +11,6 @@ from .tensor import (
     tensor_create,
 )
 from .layers import (
-    ForwardTrace,
     LayerSpec,
     LayerState,
     dropout_mask,
@@ -29,7 +27,6 @@ from .network import (
     network_backward,
     network_forward,
     predict,
-    stack_traces,
 )
 from .data import (
     Dataset,
@@ -53,13 +50,12 @@ from .training import (
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
-    "ArgmaxMask", "Tensor", "conv2d_backward", "conv2d_valid", "maxpool2x2",
+    "Tensor", "conv2d_backward", "conv2d_valid", "maxpool2x2",
     "maxpool2x2_backward", "pool_argmax", "sigmoid_map", "tensor_create",
-    "ForwardTrace", "LayerSpec", "LayerState", "dropout_mask",
+    "LayerSpec", "LayerState", "dropout_mask",
     "layer_backward", "layer_forward", "mse_loss",
     "Network", "NetworkConfig", "ParamCountReport", "build_network",
     "count_parameters", "network_backward", "network_forward", "predict",
-    "stack_traces",
     "Dataset", "LabelMap", "Sample", "SynthSpec", "generate_synthetic",
     "load_dataset_dir", "normalize_image", "one_hot",
     "EvalReport", "TrainConfig", "TrainingReport", "evaluate", "sgd_update",

@@ -27,7 +27,14 @@ from .network import (
     count_parameters,
     predict,
 )
-from .training import TrainConfig, TrainingReport, evaluate, split_dataset, train
+from .training import (
+    TrainConfig,
+    TrainingReport,
+    _check_train_fraction,
+    evaluate,
+    split_dataset,
+    train,
+)
 
 
 def _fmt(x: float) -> str:
@@ -74,6 +81,7 @@ def _cmd_train(args) -> int:
         epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch, seed=args.seed
     )
     config = NetworkConfig(dropout_rate=args.dropout)
+    _check_train_fraction(args.split)
     dataset, labels = _load_data_dir(args.data)
     train_set, test_set = split_dataset(dataset, args.split, args.seed)
     net = build_network(config, seed=args.seed)

@@ -1,13 +1,16 @@
 """Layer units composing the kernels into forward/backward passes.
 
 Three layer kinds: convolution (valid 5x5-style), 2x2 max-pooling, and
-fully connected. Sigmoid is the only nonlinearity; dropout applies exactly
-when an rng is given, with inverted scaling so no rng means the identity.
+fully connected. Sigmoid is the only nonlinearity. Dropout is inverted, so
+no mask is the identity; ``layer_forward`` draws one exactly when an rng
+is given and returns it beside the layer's output, which the next layer
+reads times the mask.
 
 ``layer_forward`` runs one image. ``layer_backward`` runs one image or a
-mini-batch: a trace whose arrays carry a leading batch axis gives
-parameter gradients summed over that batch. Given the gradients an
-earlier call returned, it overwrites their fully connected weight array.
+mini-batch from the values a forward pass keeps: the layer's input, its
+output and its mask. Arrays with a leading batch axis give parameter
+gradients summed over that batch. Given the gradients an earlier call
+returned, it overwrites their fully connected weight array.
 """
 from __future__ import annotations
 
@@ -70,25 +73,6 @@ class LayerState:
     biases: Optional[np.ndarray] = None
 
 
-@dataclass
-class ForwardTrace:
-    """The values the matching backward call needs.
-
-    ``post_activation`` holds the sigmoid outputs whose derivative the
-    backward pass takes first. A pooling layer that ``network_forward``
-    hands its input's activation to holds its pooled maps there, so the
-    derivative is taken on a quarter of the values and the convolution
-    below, which then holds none, gets a gradient already past its sigmoid.
-    Pooling also keeps its ``input``: the backward pass builds the argmax
-    mask from it, once per call, so a forward-only pass never builds one.
-    """
-
-    input: Tensor
-    post_activation: Optional[Tensor] = None
-    dropout_mask: Optional[Tensor] = None
-    output_shape: tuple = ()
-
-
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted-dropout mask: 0 with probability ``rate``, else 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
@@ -103,16 +87,15 @@ def layer_forward(
     state: Optional[LayerState],
     x: Tensor,
     rng: Optional[np.random.Generator] = None,
-) -> tuple[Tensor, ForwardTrace]:
-    """Run one layer forward; dropout applies exactly when an rng is given."""
-    x = as_tensor(x)
-    trace = ForwardTrace(input=x)
+) -> tuple[Tensor, Optional[Tensor]]:
+    """Run one layer forward; returns its output and its dropout mask.
 
+    The mask is drawn exactly when the layer has dropout and an rng is
+    given, and is None otherwise. The next layer reads the output times it.
+    """
+    x = as_tensor(x)
     if spec.kind == CONV:
         out = conv2d_valid(x, state.weights, state.biases)
-        if spec.apply_sigmoid:
-            out = sigmoid_map(out)
-            trace.post_activation = out
     elif spec.kind == POOL:
         out = maxpool2x2(x)
     else:  # FC
@@ -123,64 +106,66 @@ def layer_forward(
                 f"got {v.size}"
             )
         out = state.weights @ v + state.biases
-        if spec.apply_sigmoid:
-            out = sigmoid_map(out)
-            trace.post_activation = out
-
+    if spec.apply_sigmoid:
+        out = sigmoid_map(out)
     if spec.dropout_rate > 0.0 and rng is not None:
-        trace.dropout_mask = dropout_mask(out.shape, spec.dropout_rate, rng)
-        out = out * trace.dropout_mask
-
-    trace.output_shape = out.shape
-    return out, trace
+        return out, dropout_mask(out.shape, spec.dropout_rate, rng)
+    return out, None
 
 
 def layer_backward(
     spec: LayerSpec,
     state: Optional[LayerState],
-    trace: ForwardTrace,
+    x: Tensor,
     grad_out: Tensor,
+    y: Optional[Tensor] = None,
+    mask: Optional[Tensor] = None,
     input_grad: bool = True,
     previous: Optional[LayerState] = None,
 ) -> tuple[Optional[Tensor], Optional[LayerState]]:
     """Backpropagate through one layer; returns (grad_input, param grads).
 
-    A trace with a leading batch axis takes a ``grad_out`` with the same
-    axis and gives parameter gradients summed over it in image order. With
-    ``input_grad=False`` a convolution skips grad_input and returns None.
-    A fully connected layer given ``previous``, the gradients an earlier
-    call returned, writes its weight gradient into ``previous.weights``;
-    without it, into a new array.
+    ``x`` is the layer's input and ``grad_out`` the gradient w.r.t. what
+    the next layer read: the output times ``mask``, the layer's dropout
+    mask, if it drew one. The derivative of the sigmoid outputs ``y`` is
+    taken next, and none without them: a layer passes its own output, and a
+    pooling layer its pooled maps, which are then the sigmoid outputs of
+    the layer below and give its argmax mask as well.
+
+    Arrays with a leading batch axis give parameter gradients summed over
+    it in image order. With ``input_grad=False`` a convolution skips
+    grad_input and returns None. A fully connected layer given
+    ``previous``, the gradients an earlier call returned, writes its weight
+    gradient into ``previous.weights``; without it, into a new array.
     """
-    grad_out = as_tensor(grad_out)
-    if grad_out.shape != trace.output_shape:
-        raise ValueError(
-            f"grad_out shape {grad_out.shape} does not match forward "
-            f"output {trace.output_shape}"
-        )
-    g = grad_out
-    if trace.dropout_mask is not None:
-        g = g * trace.dropout_mask
-    y = trace.post_activation
+    x, grad_out = as_tensor(x), as_tensor(grad_out)
+    for held in (y, mask):
+        if held is not None and held.shape != grad_out.shape:
+            raise ValueError(f"grad_out shape {grad_out.shape} does not match {held.shape}")
+    g = grad_out if mask is None else grad_out * mask
     if y is not None:
         g = g * y
         g *= 1.0 - y
 
     if spec.kind == CONV:
         grad_input, grad_w, grad_b = conv2d_backward(
-            trace.input, state.weights, g, input_grad=input_grad
+            x, state.weights, g, input_grad=input_grad
         )
         return grad_input, LayerState(weights=grad_w, biases=grad_b)
     if spec.kind == POOL:
-        mask = pool_argmax(trace.input, y)
-        return maxpool2x2_backward(g, mask, trace.input.shape), None
+        return maxpool2x2_backward(g, pool_argmax(x, y), x.shape), None
+    units, inputs = state.weights.shape
+    if g.shape[-1:] != (units,) or g.size // units * inputs != x.size:
+        raise ValueError(
+            f"grad_out shape {g.shape} does not match {units} units on input {x.shape}"
+        )
     # FC. Rows are images. The einsum adds the per-image outer products in
     # image order from +0.0; one G.T @ V GEMM would round differently.
-    g = g.reshape(-1, state.weights.shape[0])
-    v = trace.input.reshape(len(g), -1)
+    g = g.reshape(-1, units)
+    v = x.reshape(len(g), -1)
     grad_w = np.einsum("ni,nj->ij", g, v,
                        out=None if previous is None else previous.weights)
-    grad_input = np.matmul(state.weights.T, g[:, :, None]).reshape(trace.input.shape)
+    grad_input = np.matmul(state.weights.T, g[:, :, None]).reshape(x.shape)
     return grad_input, LayerState(weights=grad_w, biases=g.sum(axis=0, initial=0.0))
 
 

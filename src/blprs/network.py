@@ -7,12 +7,17 @@ the actual trainables (one bias per output map or unit); "paper" is an
 alternative bookkeeping that tallies one bias term per kernel window and
 replicates it across map pairs, which yields larger counts for the second
 convolution and the hidden layer.
+
+The forward pass keeps every layer's output and dropout mask, and the
+backward pass differentiates from those alone. It decides in one place where
+each sigmoid derivative is taken: for a convolution at the pooling layer
+above, on the pooled maps, and for a fully connected layer at the layer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -21,7 +26,6 @@ from .layers import (
     CONV,
     FC,
     POOL,
-    ForwardTrace,
     LayerSpec,
     LayerState,
     layer_backward,
@@ -119,12 +123,14 @@ def network_forward(
     net: Network,
     image: Tensor,
     rng: Optional[np.random.Generator] = None,
-) -> tuple[Tensor, list[ForwardTrace]]:
-    """Chain all six layers; returns the 16 class scores and the traces.
+) -> tuple[Tensor, list[Tensor], list[Optional[Tensor]]]:
+    """Chain all six layers; returns the 16 class scores, every layer's
+    output with the image first, and every layer's dropout mask.
 
-    Dropout applies exactly when an rng is given. A pooling layer whose input
-    is the sigmoid output of the layer below takes that layer's activation
-    over, as its pooled maps (see ``ForwardTrace``).
+    Dropout applies exactly when an rng is given: a layer with dropout then
+    draws a mask, and the next layer reads its output times the mask. The
+    outputs are kept as the layers returned them, before any mask; a layer
+    without one has None in the masks.
     """
     image = as_tensor(image)
     if image.shape != tuple(net.config.input_shape):
@@ -134,71 +140,50 @@ def network_forward(
         )
     if not np.isfinite(image).all():
         raise ValueError("input image contains NaN or infinite values")
-    traces = []
-    out = image
+    outputs, masks = [image], []
+    x = image
     for spec, state in zip(net.config.layer_specs, net.states):
-        out, trace = layer_forward(spec, state, out, rng)
-        if spec.kind == POOL and traces and traces[-1].post_activation is trace.input:
-            trace.post_activation, traces[-1].post_activation = out, None
-        traces.append(trace)
-    return out, traces
-
-
-def stack_traces(per_image: Sequence[list[ForwardTrace]]) -> list[ForwardTrace]:
-    """One trace per layer holding every image's values along a leading axis.
-
-    An array that two traces share, such as a pooling layer's maps and the
-    next layer's input, is stacked once, and both stacked traces hold it.
-    """
-    stacked = {}
-
-    def stack(values):
-        if values[0] is None:
-            return None
-        key = tuple(map(id, values))
-        if key not in stacked:
-            stacked[key] = np.stack(values)
-        return stacked[key]
-
-    batch = []
-    for layer in zip(*per_image):
-        batch.append(ForwardTrace(
-            input=stack([t.input for t in layer]),
-            post_activation=stack([t.post_activation for t in layer]),
-            dropout_mask=stack([t.dropout_mask for t in layer]),
-            output_shape=(len(layer), *layer[0].output_shape),
-        ))
-    return batch
+        out, mask = layer_forward(spec, state, x, rng)
+        outputs.append(out)
+        masks.append(mask)
+        x = out if mask is None else out * mask
+    return x, outputs, masks
 
 
 def network_backward(
     net: Network,
-    traces: list[ForwardTrace],
+    outputs: list[Tensor],
+    masks: list[Optional[Tensor]],
     target: Tensor,
     previous: Optional[list] = None,
 ) -> list:
     """Gradients of the half-sum-of-squares loss w.r.t. every weight and bias.
 
-    Takes one image's traces and target, or ``stack_traces`` of a mini-batch
-    and the stacked targets; a batch's gradients are summed over its images.
-    Given ``previous``, the list an earlier call returned, the fully
-    connected weight gradients are written into that list's arrays, so
-    each mini-batch overwrites the last one's; without it, every call
-    returns new arrays.
+    Takes one image's outputs, masks and target, or a mini-batch's, each
+    list entry stacked along a leading axis, with the stacked targets; a
+    batch's gradients are summed over its images. Given ``previous``, the
+    list an earlier call returned, the fully connected weight gradients are
+    written into that list's arrays, so each mini-batch overwrites the last
+    one's; without it, every call returns new arrays.
     """
     target = as_tensor(target)
-    scores_shape = traces[-1].output_shape
-    if target.shape != scores_shape:
+    if target.shape != outputs[-1].shape:
         raise ValueError(
-            f"target shape {target.shape} does not match scores {scores_shape}"
+            f"target shape {target.shape} does not match scores {outputs[-1].shape}"
         )
-    grad = traces[-1].post_activation - target
     specs = net.config.layer_specs
-    grads: list[Optional[LayerState]] = [None] * len(traces)
-    for i in range(len(traces) - 1, -1, -1):
+    # What each layer read: the output below it, times that layer's mask.
+    inputs = [x if m is None else x * m for x, m in zip(outputs, [None, *masks])]
+    grad = outputs[-1] - target
+    grads: list[Optional[LayerState]] = [None] * len(specs)
+    for i in range(len(specs) - 1, -1, -1):
+        # Every convolution and fully connected layer ends in a sigmoid. A
+        # convolution's derivative is taken at the pooling layer above it,
+        # on the pooled maps: a quarter of the values, the same bytes.
+        y = None if specs[i].kind == CONV else outputs[i + 1]
         # Nothing reads the gradient w.r.t. the image, so C1 skips it.
         grad, grads[i] = layer_backward(
-            specs[i], net.states[i], traces[i], grad, input_grad=i > 0,
+            specs[i], net.states[i], inputs[i], grad, y, masks[i], input_grad=i > 0,
             previous=None if previous is None else previous[i],
         )
     return grads
@@ -206,7 +191,7 @@ def network_backward(
 
 def predict(net: Network, image: Tensor) -> tuple[int, Tensor]:
     """Class readout without dropout; ties break toward the lowest index."""
-    scores, _ = network_forward(net, image)
+    scores = network_forward(net, image)[0]
     return int(np.argmax(scores)), scores
 
 

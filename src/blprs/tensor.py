@@ -4,21 +4,21 @@ Tensors are plain C-contiguous ``numpy.ndarray`` values of dtype float64.
 Every operation here is a pure function: valid convolution (stride 1, no
 padding, every output map sums over all input maps), disjoint 2x2
 max-pooling, whose argmax mask ``pool_argmax`` builds for the backward pass
-alone, and the logistic sigmoid.
+alone as a ``(rows, cols)`` pair of boolean arrays, and the logistic sigmoid.
 
 Pooling and the backward kernels take images as ``(..., C, H, W)``: a
 per-image call has no leading axis and a mini-batch has one. Parameter
 gradients are summed over the batch in image order, starting from +0.0.
 
-The mask is taken by equality with the pooled output, so a caller that
-holds the pooled maps passes them in and nothing is pooled twice. A
-sigmoid's derivative commutes with the routing: taken on the pooled values
-and then routed, it gives the bytes that routing first and differentiating
-the full map give, on a quarter of the values.
+The mask is taken by equality with the pooled output. The backward pass
+keeps every layer's output, the pooled maps among them, and passes those
+in, so nothing is pooled twice. A sigmoid's derivative commutes with the
+routing: taken on the pooled values and then routed, it gives the bytes
+that routing first and differentiating the full map give, on a quarter of
+the values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,22 +53,6 @@ def tensor_create(shape: Sequence[int], values) -> Tensor:
 def as_tensor(values) -> Tensor:
     """Coerce to a C-contiguous float64 array without copying when possible."""
     return np.ascontiguousarray(values, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class ArgmaxMask:
-    """Winning (row, col) offset inside each 2x2 pooling window.
-
-    ``rows`` and ``cols`` are boolean arrays of the pooled output's shape:
-    True marks the bottom row and the right column.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-
-    @property
-    def shape(self) -> tuple:
-        return self.rows.shape
 
 
 def _im2col(x: Tensor, k: int) -> np.ndarray:
@@ -173,13 +157,15 @@ def maxpool2x2(x: Tensor) -> Tensor:
                       np.maximum(top_right, top_left))
 
 
-def pool_argmax(x: Tensor, pooled: Optional[Tensor] = None) -> ArgmaxMask:
-    """The (row, col) of each 2x2 window's maximum, chosen as ``maxpool2x2``
+def pool_argmax(x: Tensor, pooled: Optional[Tensor] = None) -> tuple[Tensor, Tensor]:
+    """The (rows, cols) of each 2x2 window's maximum, chosen as ``maxpool2x2``
     chooses it: the first in row-major order on ties, a NaN over any number.
 
-    The winner is the first position equal to the pooled value, or, in a
-    window whose maximum is NaN, the first NaN. ``pooled`` is
-    ``maxpool2x2(x)``, for a caller that holds it already.
+    ``rows`` and ``cols`` are boolean arrays of the pooled output's shape:
+    True marks the bottom row and the right column. The winner is the first
+    position equal to the pooled value, or, in a window whose maximum is
+    NaN, the first NaN. ``pooled`` is ``maxpool2x2(x)``, for a caller that
+    holds it already.
     """
     x = as_tensor(x)
     top_left, top_right, bottom_left, _ = _quarters(x)
@@ -196,13 +182,11 @@ def pool_argmax(x: Tensor, pooled: Optional[Tensor] = None) -> ArgmaxMask:
     tl, tr, bl = holds_max(top_left), holds_max(top_right), holds_max(bottom_left)
     # Top-left wins where it holds the maximum, else top-right, else
     # bottom-left, else bottom-right.
-    rows = ~(tl | tr)
-    cols = ~tl & (tr | ~bl)
-    return ArgmaxMask(rows=rows, cols=cols)
+    return ~(tl | tr), ~tl & (tr | ~bl)
 
 
 def maxpool2x2_backward(
-    grad_out: Tensor, mask: ArgmaxMask, input_shape: Sequence[int]
+    grad_out: Tensor, mask: tuple[Tensor, Tensor], input_shape: Sequence[int]
 ) -> Tensor:
     """Route each pooled gradient back to its argmax position.
 
@@ -211,13 +195,13 @@ def maxpool2x2_backward(
     values: every losing position gets +0.0 either way.
     """
     grad_out = as_tensor(grad_out)
+    row, col = mask
     *lead, c, h, w = (int(d) for d in input_shape)
-    if grad_out.shape != (*lead, c, h // 2, w // 2) or mask.shape != grad_out.shape:
+    if grad_out.shape != (*lead, c, h // 2, w // 2) or row.shape != grad_out.shape:
         raise ValueError(
-            f"grad_out {grad_out.shape} / mask {mask.shape} do not match "
+            f"grad_out {grad_out.shape} / mask {row.shape} do not match "
             f"input shape {tuple(input_shape)}"
         )
-    row, col = mask.rows, mask.cols
     # np.where, not a product with the mask: the product writes -0.0 where a
     # negative gradient meets a losing position.
     top = np.where(row, 0.0, grad_out)

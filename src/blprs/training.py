@@ -2,10 +2,11 @@
 
 Training iterates seeded-shuffled mini-batches and applies one plain SGD
 step per batch. The forward pass runs image by image, drawing each image's
-dropout mask in turn; the backward pass runs once per mini-batch on the
-stacked traces (so its memory grows with the batch size) and builds the
+dropout mask in turn, and keeps every layer's output and mask. The backward
+pass runs once per mini-batch on those lists, each entry stacked along a
+leading batch axis (so its memory grows with the batch size); it builds the
 pooling argmax masks there, from the pooled maps, where it also takes the
-convolutions' sigmoid derivatives; evaluation builds none. Its summed
+convolutions' sigmoid derivatives. Evaluation builds none. The summed
 gradients are averaged over the batch. Each batch hands the previous
 batch's gradients back to the backward pass, which overwrites their fully
 connected weight arrays, the largest a step returns: the heap stays in
@@ -23,13 +24,7 @@ import numpy as np
 
 from .data import Dataset, one_hot
 from .layers import LayerState, mse_loss
-from .network import (
-    Network,
-    network_backward,
-    network_forward,
-    predict,
-    stack_traces,
-)
+from .network import Network, network_backward, network_forward, predict
 
 
 class DivergenceError(ValueError):
@@ -72,11 +67,16 @@ class EvalReport:
     sample_count: int
 
 
+def _check_train_fraction(train_fraction: float) -> None:
+    """Raise unless ``train_fraction`` lies in the open interval (0,1)."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train fraction must be in (0,1), got {train_fraction}")
+
+
 def split_dataset(ds: Dataset, train_fraction: float, seed: int):
     """Stratified split: per populated class, shuffle and take
     round-half-up(n * fraction) samples for training."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train fraction must be in (0,1), got {train_fraction}")
+    _check_train_fraction(train_fraction)
     by_class: dict[int, list[int]] = {}
     for i, s in enumerate(ds.samples):
         by_class.setdefault(s.class_index, []).append(i)
@@ -116,6 +116,11 @@ def sgd_update(net: Network, grads: list, learning_rate: float) -> Network:
     return net
 
 
+def _stack(per_image: list) -> list:
+    """Every image's list, one ``np.stack`` per entry; None stays None."""
+    return [None if entry[0] is None else np.stack(entry) for entry in zip(*per_image)]
+
+
 # A diverging step overflows before the per-batch check can stop it; the
 # check reports that, so numpy's own warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore")
@@ -146,13 +151,18 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
         epoch_loss = 0.0
         for number, lo in enumerate(range(0, n, config.batch_size), start=1):
             batch = order[lo : lo + config.batch_size]
-            traces = []
+            outputs, masks = [], []
             for i in batch:
-                scores, image_traces = network_forward(net, train_set.samples[i].image, rng)
+                scores, image_outputs, image_masks = network_forward(
+                    net, train_set.samples[i].image, rng
+                )
                 loss, _ = mse_loss(scores, targets[i])
                 epoch_loss += loss
-                traces.append(image_traces)
-            grads = network_backward(net, stack_traces(traces), targets[batch], grads)
+                outputs.append(image_outputs)
+                masks.append(image_masks)
+            grads = network_backward(
+                net, _stack(outputs), _stack(masks), targets[batch], grads
+            )
             inv = 1.0 / len(batch)
             for g in grads:
                 if g is not None:

@@ -2,13 +2,25 @@
 
 Everything here is deliberately written as plain nested loops so it shares
 no code path with the package under test, except the ``*_where_reference``
-kernels and ``generate_synthetic_reference``: verbatim copies of earlier
-vectorized code, kept so that the forms that replaced them can be shown to
-give the same bytes.
+kernels, ``generate_synthetic_reference`` and the ``*_reference`` engine
+below: verbatim copies of earlier vectorized code, kept so that the forms
+that replaced them can be shown to give the same bytes.
 """
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+
+from blprs.layers import CONV, POOL, LayerState, dropout_mask
+from blprs.tensor import (
+    conv2d_backward,
+    conv2d_valid,
+    maxpool2x2,
+    maxpool2x2_backward,
+    pool_argmax,
+    sigmoid_map,
+)
 
 
 def conv2d_reference(x, kernels, biases):
@@ -164,6 +176,148 @@ def generate_synthetic_reference(spec, base_glyph, class_count=16):
                 img = img + rng.normal(0.0, spec.noise_std, img.shape)
             samples.append((np.clip(img, 0.0, 1.0)[None, :, :], class_index))
     return samples
+
+
+# The per-image engine as it was when every forward returned one trace object
+# per layer and a mini-batch's traces were stacked for one backward pass. It
+# runs on the package's kernels, which the loop oracles above pin, so what it
+# pins is the wiring between them: which values are kept, where each sigmoid
+# derivative is taken, the dropout draws and the order of every sum.
+
+
+@dataclass
+class ForwardTraceReference:
+    """What one layer's backward read: its input, the sigmoid outputs whose
+    derivative it took first, its dropout mask and its output shape."""
+
+    input: np.ndarray
+    post_activation: Optional[np.ndarray] = None
+    dropout_mask: Optional[np.ndarray] = None
+    output_shape: tuple = ()
+
+
+def layer_forward_reference(spec, state, x, rng=None):
+    """One layer on one image; returns (output after dropout, trace)."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    trace = ForwardTraceReference(input=x)
+    if spec.kind == CONV:
+        out = conv2d_valid(x, state.weights, state.biases)
+        if spec.apply_sigmoid:
+            out = sigmoid_map(out)
+            trace.post_activation = out
+    elif spec.kind == POOL:
+        out = maxpool2x2(x)
+    else:
+        out = state.weights @ x.ravel() + state.biases
+        if spec.apply_sigmoid:
+            out = sigmoid_map(out)
+            trace.post_activation = out
+    if spec.dropout_rate > 0.0 and rng is not None:
+        trace.dropout_mask = dropout_mask(out.shape, spec.dropout_rate, rng)
+        out = out * trace.dropout_mask
+    trace.output_shape = out.shape
+    return out, trace
+
+
+def layer_backward_reference(spec, state, trace, grad_out, input_grad=True, previous=None):
+    """One layer's backward on one trace, batched or not; returns
+    (grad_input, param grads), the FC weight gradient written into
+    ``previous.weights`` when given."""
+    g = grad_out
+    if trace.dropout_mask is not None:
+        g = g * trace.dropout_mask
+    y = trace.post_activation
+    if y is not None:
+        g = g * y
+        g *= 1.0 - y
+    if spec.kind == CONV:
+        grad_input, grad_w, grad_b = conv2d_backward(
+            trace.input, state.weights, g, input_grad=input_grad
+        )
+        return grad_input, LayerState(weights=grad_w, biases=grad_b)
+    if spec.kind == POOL:
+        mask = pool_argmax(trace.input, y)
+        return maxpool2x2_backward(g, mask, trace.input.shape), None
+    g = g.reshape(-1, state.weights.shape[0])
+    v = trace.input.reshape(len(g), -1)
+    grad_w = np.einsum("ni,nj->ij", g, v,
+                       out=None if previous is None else previous.weights)
+    grad_input = np.matmul(state.weights.T, g[:, :, None]).reshape(trace.input.shape)
+    return grad_input, LayerState(weights=grad_w, biases=g.sum(axis=0, initial=0.0))
+
+
+def network_forward_reference(net, image, rng=None):
+    """All six layers on one image; returns (scores, traces). A pooling layer
+    takes over the sigmoid output of the convolution below as its pooled
+    maps, so the derivative is taken on those."""
+    traces = []
+    out = np.ascontiguousarray(image, dtype=np.float64)
+    for spec, state in zip(net.config.layer_specs, net.states):
+        out, trace = layer_forward_reference(spec, state, out, rng)
+        if spec.kind == POOL and traces and traces[-1].post_activation is trace.input:
+            trace.post_activation, traces[-1].post_activation = out, None
+        traces.append(trace)
+    return out, traces
+
+
+def stack_traces_reference(per_image):
+    """One trace per layer with every image's values along a leading axis;
+    an array two traces share is stacked once."""
+    stacked = {}
+
+    def stack(values):
+        if values[0] is None:
+            return None
+        key = tuple(map(id, values))
+        if key not in stacked:
+            stacked[key] = np.stack(values)
+        return stacked[key]
+
+    return [
+        ForwardTraceReference(
+            input=stack([t.input for t in layer]),
+            post_activation=stack([t.post_activation for t in layer]),
+            dropout_mask=stack([t.dropout_mask for t in layer]),
+            output_shape=(len(layer), *layer[0].output_shape),
+        )
+        for layer in zip(*per_image)
+    ]
+
+
+def network_backward_reference(net, traces, target, previous=None):
+    """Gradients of the half-sum-of-squares loss, summed over a batch."""
+    grad = traces[-1].post_activation - target
+    grads = [None] * len(traces)
+    for i in range(len(traces) - 1, -1, -1):
+        grad, grads[i] = layer_backward_reference(
+            net.config.layer_specs[i], net.states[i], traces[i], grad,
+            input_grad=i > 0, previous=None if previous is None else previous[i],
+        )
+    return grads
+
+
+def train_step_reference(net, images, targets, learning_rate, rng, previous=None):
+    """One mini-batch of ``train``: per-image forwards, each drawing its
+    dropout mask in turn, one backward on the stacked traces that writes
+    into ``previous`` when given, the average over the batch, then plain
+    SGD on ``net`` in place. Returns the images' losses and the gradients."""
+    losses, traces = [], []
+    for image, target in zip(images, targets):
+        scores, image_traces = network_forward_reference(net, image, rng)
+        diff = scores - target
+        losses.append(0.5 * float(np.dot(diff.ravel(), diff.ravel())))
+        traces.append(image_traces)
+    grads = network_backward_reference(net, stack_traces_reference(traces), targets, previous)
+    inv = 1.0 / len(images)
+    for g in grads:
+        if g is not None:
+            g.weights *= inv
+            g.biases *= inv
+    for state, g in zip(net.states, grads):
+        if state is not None:
+            state.weights -= learning_rate * g.weights
+            state.biases -= learning_rate * g.biases
+    return losses, grads
 
 
 def numeric_gradient(f, arr, step=1e-5):

@@ -88,8 +88,8 @@ def test_criterion_2_standard_counts_match_tensors():
 
 def test_criterion_3_shape_chain():
     net = build_network(NetworkConfig(), seed=2)
-    _, traces = network_forward(net, np.random.default_rng(0).random((1, 32, 32)))
-    got = [t.output_shape for t in traces]
+    _, outputs, _ = network_forward(net, np.random.default_rng(0).random((1, 32, 32)))
+    got = [o.shape for o in outputs[1:]]
     ok = got == [(6, 28, 28), (6, 14, 14), (12, 10, 10), (12, 5, 5), (300,), (16,)]
     _verdict(3, "forward shape chain matches the published feature-map sizes", ok)
 
@@ -120,13 +120,13 @@ def _image_without_pool_ties(net, rng, gap=1e-3):
     so finite differences cannot flip a winner."""
     while True:
         img = rng.random(net.config.input_shape)
-        _, traces = network_forward(net, img)
+        _, outputs, _ = network_forward(net, img)
         clear = True
-        for spec, t in zip(net.config.layer_specs, traces):
+        for spec, pool_input in zip(net.config.layer_specs, outputs):
             if spec.kind != POOL:
                 continue
-            c, h, w = t.input.shape
-            win = (t.input.reshape(c, h // 2, 2, w // 2, 2)
+            c, h, w = pool_input.shape
+            win = (pool_input.reshape(c, h // 2, 2, w // 2, 2)
                    .transpose(0, 1, 3, 2, 4).reshape(-1, 4))
             win = np.sort(win, axis=1)
             if np.min(win[:, 3] - win[:, 2]) < gap:
@@ -144,15 +144,15 @@ def test_criterion_4_gradient_correctness():
         kind = (CONV, POOL, FC)[trial % 3]
         spec, state, x = _random_layer_instance(kind, rng)
         seed = int(rng.integers(2**31))
-        out, _ = layer_forward(spec, state, x, np.random.default_rng(seed))
+        out, mask = layer_forward(spec, state, x, np.random.default_rng(seed))
         direction = rng.standard_normal(out.shape)
 
         def loss():
-            y, _ = layer_forward(spec, state, x, np.random.default_rng(seed))
-            return float(np.sum(y * direction))
+            y, m = layer_forward(spec, state, x, np.random.default_rng(seed))
+            return float(np.sum((y if m is None else y * m) * direction))
 
-        _, trace = layer_forward(spec, state, x, np.random.default_rng(seed))
-        gi, grads = layer_backward(spec, state, trace, direction)
+        gi, grads = layer_backward(spec, state, x, direction,
+                                   out if spec.apply_sigmoid else None, mask)
         worst = max(worst, gradient_gap(gi, numeric_gradient(loss, x, step=1e-5)))
         if grads is not None:
             worst = max(worst, gradient_gap(
@@ -167,11 +167,11 @@ def test_criterion_4_gradient_correctness():
         target = one_hot(int(rng.integers(4)), 4)
 
         def net_loss():
-            scores, _ = network_forward(net, img)
+            scores = network_forward(net, img)[0]
             return 0.5 * float(np.sum((scores - target) ** 2))
 
-        _, traces = network_forward(net, img)
-        grads = network_backward(net, traces, target)
+        _, outputs, masks = network_forward(net, img)
+        grads = network_backward(net, outputs, masks, target)
         for li, g in enumerate(grads):
             if g is None:
                 continue

@@ -154,6 +154,23 @@ class TestTrainCommand:
         assert re.fullmatch(r"error: seed [^\n]*\n", err), err
         assert not model.exists()
 
+    @pytest.mark.parametrize("split", ["1.5", "1", "0", "-0.25", "nan"])
+    def test_bad_split_is_named_before_the_data_is_read(
+        self, capsys, monkeypatch, synth_dir, tmp_path, split
+    ):
+        calls = []
+        monkeypatch.setattr(cli_module, "load_dataset_dir", lambda *args: calls.append(args))
+        model = tmp_path / "m.blpr"
+        code = main([
+            "train", "--data", str(synth_dir), "--epochs", "1",
+            "--split", split, "--out", str(model),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: train fraction must be in (0,1), got {float(split)}\n"
+        assert calls == []
+        assert not model.exists()
+
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_learning_rate_fails_without_checkpoint(
         self, capsys, synth_dir, tmp_path, rate

@@ -5,7 +5,6 @@ from blprs.layers import (
     CONV,
     FC,
     POOL,
-    ForwardTrace,
     LayerSpec,
     LayerState,
     dropout_mask,
@@ -42,6 +41,21 @@ def _random_layer(kind, rng):
     return spec, state, x
 
 
+def _forward(spec, state, x, rng=None):
+    """The layer's output as the next layer reads it: times its dropout mask."""
+    out, mask = layer_forward(spec, state, x, rng)
+    return out if mask is None else out * mask
+
+
+def _backward(spec, state, x, grad_out, rng=None):
+    """``layer_backward`` on what ``layer_forward`` keeps: the input, the
+    output, whose sigmoid derivative a layer with a sigmoid takes, and the
+    dropout mask."""
+    out, mask = layer_forward(spec, state, x, rng)
+    return layer_backward(spec, state, x, grad_out,
+                          out if spec.apply_sigmoid else None, mask)
+
+
 class TestLayerForward:
     def test_fc_zero_weights_gives_half(self):
         spec = LayerSpec(FC, 4, apply_sigmoid=True)
@@ -74,8 +88,8 @@ class TestLayerForward:
         spec = LayerSpec(FC, 6, apply_sigmoid=True, dropout_rate=0.3)
         state = LayerState(rng.standard_normal((6, 4)), rng.standard_normal(6))
         x = rng.random(4)
-        a, _ = layer_forward(spec, state, x, np.random.default_rng(99))
-        b2, _ = layer_forward(spec, state, x, np.random.default_rng(99))
+        a = _forward(spec, state, x, np.random.default_rng(99))
+        b2 = _forward(spec, state, x, np.random.default_rng(99))
         assert np.array_equal(a, b2)
 
     def test_spec_validation(self):
@@ -92,8 +106,8 @@ class TestLayerBackward:
         rng = np.random.default_rng(4)
         for kind in (CONV, POOL, FC):
             spec, state, x = _random_layer(kind, rng)
-            out, trace = layer_forward(spec, state, x)
-            gi, grads = layer_backward(spec, state, trace, np.zeros_like(out))
+            out = _forward(spec, state, x)
+            gi, grads = _backward(spec, state, x, np.zeros_like(out))
             assert not gi.any()
             if grads is not None:
                 assert not grads.weights.any() and not grads.biases.any()
@@ -102,30 +116,28 @@ class TestLayerBackward:
         rng = np.random.default_rng(6)
         for kind in (CONV, POOL, FC):
             spec, state, x = _random_layer(kind, rng)
-            out, trace = layer_forward(spec, state, x)
-            gi, _ = layer_backward(spec, state, trace, np.ones_like(out))
+            out = _forward(spec, state, x)
+            gi, _ = _backward(spec, state, x, np.ones_like(out))
             assert gi.shape == x.shape
 
     def test_grad_out_shape_mismatch_rejected(self):
         spec = LayerSpec(FC, 3)
         state = LayerState(np.zeros((3, 4)), np.zeros(3))
-        _, trace = layer_forward(spec, state, np.zeros(4))
         with pytest.raises(ValueError, match="grad_out"):
-            layer_backward(spec, state, trace, np.zeros(5))
+            _backward(spec, state, np.zeros(4), np.zeros(5))
 
     @pytest.mark.parametrize("kind", [CONV, POOL, FC])
     def test_finite_differences_per_kind(self, kind):
         rng = np.random.default_rng(hash(kind) % 2**31)
         spec, state, x = _random_layer(kind, rng)
-        out, _ = layer_forward(spec, state, x)
+        out = _forward(spec, state, x)
         weights = rng.standard_normal(out.shape)
 
         def loss():
-            y, _ = layer_forward(spec, state, x)
+            y = _forward(spec, state, x)
             return float(np.sum(y * weights))
 
-        _, trace = layer_forward(spec, state, x)
-        gi, grads = layer_backward(spec, state, trace, weights)
+        gi, grads = _backward(spec, state, x, weights)
         assert gradient_gap(gi, numeric_gradient(loss, x)) < 1e-5
         if grads is not None:
             assert gradient_gap(grads.weights,
@@ -144,18 +156,15 @@ class TestLayerBackward:
                 spec = LayerSpec(FC, spec.out_maps, apply_sigmoid=spec.apply_sigmoid,
                                  dropout_rate=0.4)
             mask_seed = int(rng.integers(2**31))
-            out, _ = layer_forward(spec, state, x,
-                                   np.random.default_rng(mask_seed))
+            out = _forward(spec, state, x, np.random.default_rng(mask_seed))
             weights = rng.standard_normal(out.shape)
 
             def loss():
-                y, _ = layer_forward(spec, state, x,
-                                     np.random.default_rng(mask_seed))
+                y = _forward(spec, state, x, np.random.default_rng(mask_seed))
                 return float(np.sum(y * weights))
 
-            _, trace = layer_forward(spec, state, x,
-                                     np.random.default_rng(mask_seed))
-            gi, grads = layer_backward(spec, state, trace, weights)
+            gi, grads = _backward(spec, state, x, weights,
+                                  np.random.default_rng(mask_seed))
             assert gradient_gap(gi, numeric_gradient(loss, x)) < 1e-5
             if grads is not None:
                 assert gradient_gap(grads.weights,
@@ -180,9 +189,8 @@ class TestFullyConnectedBatchOrder:
         v = rng.random((n, inputs))
         v[rng.random(v.shape) < 0.1] = -0.0
         state = LayerState(rng.standard_normal((units, inputs)), np.zeros(units))
-        trace = ForwardTrace(input=v.reshape(n, *input_shape), output_shape=(n, units))
-
-        grad_input, grads = layer_backward(LayerSpec(FC, units), state, trace, g)
+        grad_input, grads = layer_backward(LayerSpec(FC, units), state,
+                                           v.reshape(n, *input_shape), g)
 
         weights, biases = np.zeros((units, inputs)), np.zeros(units)
         for g_i, v_i in zip(g, v):
@@ -229,8 +237,7 @@ class TestDropoutMask:
         n_masks = 5000
         mask_rng = np.random.default_rng(999)
         for _ in range(n_masks):
-            out, _ = layer_forward(spec, state, x, mask_rng)
-            total += out
+            total += _forward(spec, state, x, mask_rng)
         mean = total / n_masks
         big = np.abs(eval_out) >= 0.1
         assert big.any()

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import blprs.layers as layers_module
+import blprs.network as network_module
+import blprs.training as training_module
 from blprs.checkpoint import save_checkpoint
 from blprs.data import LabelMap, SynthSpec, generate_synthetic, one_hot
 from blprs.network import (
@@ -16,9 +18,9 @@ from blprs.network import (
     network_backward,
     network_forward,
     predict,
-    stack_traces,
 )
 from blprs.tensor import conv2d_backward, maxpool2x2, pool_argmax
+from blprs.training import TrainConfig, train
 from oracles import gradient_gap, numeric_gradient
 
 # Smallest config whose shape chain survives two conv+pool stages with the
@@ -32,6 +34,32 @@ REDUCED = NetworkConfig(
     class_count=4,
     dropout_rate=0.0,
 )
+
+
+def _stack(per_image):
+    """Each entry of the images' lists stacked along a leading axis, as
+    ``train`` stacks them; None stays None."""
+    return [None if entry[0] is None else np.stack(entry) for entry in zip(*per_image)]
+
+
+def _forward_batch(net, images, rng):
+    """Each image's forward pass in turn; returns the stacked outputs and masks."""
+    forwards = [network_forward(net, image, rng) for image in images]
+    return _stack([f[1] for f in forwards]), _stack([f[2] for f in forwards])
+
+
+def _spy_on_layer_backward(monkeypatch):
+    """Record (input, sigmoid values) of every ``layer_backward`` call that
+    ``network_backward`` makes, last layer first."""
+    calls = []
+    backward = network_module.layer_backward
+
+    def spy(spec, state, x, grad_out, y=None, mask=None, **kwargs):
+        calls.append((x, y))
+        return backward(spec, state, x, grad_out, y, mask, **kwargs)
+
+    monkeypatch.setattr(network_module, "layer_backward", spy)
+    return calls
 
 
 def _zeroed(net):
@@ -143,28 +171,28 @@ class TestCountParameters:
 class TestNetworkForward:
     def test_zero_weight_network_scores_half(self):
         net = _zeroed(build_network(NetworkConfig(), 0))
-        scores, _ = network_forward(net, np.zeros((1, 32, 32)))
+        scores = network_forward(net, np.zeros((1, 32, 32)))[0]
         assert scores.shape == (16,)
         assert np.all(scores == 0.5)
 
     def test_intermediate_shapes_match_table(self):
         net = build_network(NetworkConfig(), 1)
-        _, traces = network_forward(net, np.random.default_rng(0).random((1, 32, 32)))
-        assert [t.output_shape for t in traces] == [
-            (6, 28, 28), (6, 14, 14), (12, 10, 10), (12, 5, 5), (300,), (16,),
+        _, outputs, _ = network_forward(net, np.random.default_rng(0).random((1, 32, 32)))
+        assert [o.shape for o in outputs] == [
+            (1, 32, 32), (6, 28, 28), (6, 14, 14), (12, 10, 10), (12, 5, 5), (300,), (16,),
         ]
 
     def test_eval_mode_deterministic(self):
         net = build_network(NetworkConfig(), 2)
         img = np.random.default_rng(4).random((1, 32, 32))
-        a, _ = network_forward(net, img)
-        b, _ = network_forward(net, img)
+        a = network_forward(net, img)[0]
+        b = network_forward(net, img)[0]
         assert np.array_equal(a, b)
 
     def test_scores_strictly_inside_unit_interval(self):
         net = build_network(NetworkConfig(), 6)
         img = np.random.default_rng(5).random((1, 32, 32))
-        scores, _ = network_forward(net, img)
+        scores = network_forward(net, img)[0]
         assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
     def test_wrong_input_shape(self):
@@ -177,8 +205,8 @@ class TestNetworkBackward:
     def test_target_equal_to_scores_zeroes_gradients(self):
         net = build_network(REDUCED, 11)
         img = np.random.default_rng(1).random((1, 16, 16))
-        scores, traces = network_forward(net, img)
-        grads = network_backward(net, traces, scores.copy())
+        scores, outputs, masks = network_forward(net, img)
+        grads = network_backward(net, outputs, masks, scores.copy())
         for g in grads:
             if g is not None:
                 assert np.allclose(g.weights, 0.0, atol=1e-18)
@@ -187,8 +215,8 @@ class TestNetworkBackward:
     def test_gradient_shapes_match_states(self):
         net = build_network(REDUCED, 12)
         img = np.random.default_rng(2).random((1, 16, 16))
-        _, traces = network_forward(net, img)
-        grads = network_backward(net, traces, one_hot(1, 4))
+        _, outputs, masks = network_forward(net, img)
+        grads = network_backward(net, outputs, masks, one_hot(1, 4))
         for s, g in zip(net.states, grads):
             if s is None:
                 assert g is None
@@ -205,8 +233,8 @@ class TestNetworkBackward:
 
         monkeypatch.setattr(layers_module, "conv2d_backward", spy)
         net = build_network(REDUCED, 12)
-        _, traces = network_forward(net, np.zeros((1, 16, 16)))
-        network_backward(net, traces, one_hot(1, 4))
+        _, outputs, masks = network_forward(net, np.zeros((1, 16, 16)))
+        network_backward(net, outputs, masks, one_hot(1, 4))
         assert calls == [((2, 6, 6), True), ((1, 16, 16), False)]
 
     def test_full_network_finite_differences(self):
@@ -216,11 +244,11 @@ class TestNetworkBackward:
         target = one_hot(2, 4)
 
         def loss():
-            scores, _ = network_forward(net, img)
+            scores = network_forward(net, img)[0]
             return 0.5 * float(np.sum((scores - target) ** 2))
 
-        _, traces = network_forward(net, img)
-        grads = network_backward(net, traces, target)
+        _, outputs, masks = network_forward(net, img)
+        grads = network_backward(net, outputs, masks, target)
         for li, g in enumerate(grads):
             if g is None:
                 continue
@@ -236,12 +264,14 @@ class TestNetworkBackward:
         rng = np.random.default_rng(n)
         images = rng.random((n, *config.input_shape))
         targets = np.eye(config.class_count)[rng.integers(config.class_count, size=n)]
-        traces = [network_forward(net, image, rng)[1] for image in images]
-        assert any(t[4].dropout_mask.min() == 0.0 for t in traces)
+        forwards = [network_forward(net, image, rng) for image in images]
+        assert any(masks[4].min() == 0.0 for _, _, masks in forwards)
 
-        batch = network_backward(net, stack_traces(traces), targets)
+        batch = network_backward(net, _stack([f[1] for f in forwards]),
+                                 _stack([f[2] for f in forwards]), targets)
 
-        per_image = [network_backward(net, t, target) for t, target in zip(traces, targets)]
+        per_image = [network_backward(net, outputs, masks, target)
+                     for (_, outputs, masks), target in zip(forwards, targets)]
         for layer, got in enumerate(batch):
             if got is None:
                 assert all(grads[layer] is None for grads in per_image)
@@ -259,13 +289,13 @@ class TestNetworkBackward:
         rng = np.random.default_rng(8)
 
         def batch(n):
-            traces = [network_forward(net, rng.random((1, 32, 32)), rng)[1] for _ in range(n)]
-            return stack_traces(traces), np.eye(16)[rng.integers(16, size=n)]
+            outputs, masks = _forward_batch(net, rng.random((n, 1, 32, 32)), rng)
+            return outputs, masks, np.eye(16)[rng.integers(16, size=n)]
 
         earlier = network_backward(net, *batch(3))
-        stacked, targets = batch(2)  # a short last batch reuses them too
-        fresh = network_backward(net, stacked, targets)
-        reused = network_backward(net, stacked, targets, earlier)
+        stacked = batch(2)  # a short last batch reuses them too
+        fresh = network_backward(net, *stacked)
+        reused = network_backward(net, *stacked, earlier)
         for got, want in zip(reused, fresh):
             if want is None:
                 assert got is None
@@ -280,37 +310,49 @@ class TestNetworkBackward:
 
         assert not any(np.shares_memory(a, b) for a in arrays(fresh) for b in arrays(earlier))
 
-    def test_stacked_traces_carry_the_batch_axis(self):
-        net = build_network(NetworkConfig(), 15)
-        rng = np.random.default_rng(6)
-        traces = [network_forward(net, rng.random((1, 32, 32)), rng)[1] for _ in range(3)]
-        stacked = stack_traces(traces)
-        assert [t.output_shape for t in stacked] == [
-            (3, 6, 28, 28), (3, 6, 14, 14), (3, 12, 10, 10), (3, 12, 5, 5), (3, 300), (3, 16),
-        ]
-        assert stacked[1].input.shape == (3, 6, 28, 28)
-        assert pool_argmax(stacked[1].input).shape == (3, 6, 14, 14)
-        assert stacked[4].dropout_mask.shape == (3, 300) and stacked[5].dropout_mask is None
-        assert np.array_equal(stacked[0].input[2], traces[2][0].input)
+    def test_train_stacks_each_output_and_mask_along_the_batch_axis(self, monkeypatch):
+        calls = []
+        backward = training_module.network_backward
 
-    def test_pooling_takes_over_the_sigmoid_of_the_layer_below(self):
+        def spy(net, outputs, masks, targets, previous):
+            calls.append((outputs, masks, targets))
+            return backward(net, outputs, masks, targets, previous)
+
+        monkeypatch.setattr(training_module, "network_backward", spy)
+        ds = generate_synthetic(SynthSpec(per_class_count=1, seed=6), LabelMap())
+        train(build_network(NetworkConfig(), 15), ds, TrainConfig(epochs=1, batch_size=3, seed=6))
+        outputs, masks, targets = calls[0]
+        assert [o.shape for o in outputs] == [
+            (3, 1, 32, 32), (3, 6, 28, 28), (3, 6, 14, 14), (3, 12, 10, 10), (3, 12, 5, 5),
+            (3, 300), (3, 16),
+        ]
+        assert pool_argmax(outputs[1], outputs[2])[0].shape == (3, 6, 14, 14)
+        assert masks[4].shape == (3, 300) and masks[:4] + masks[5:] == [None] * 5
+        assert targets.shape == (3, 16)
+        first = np.random.default_rng(6).permutation(len(ds))[:3]
+        assert np.array_equal(outputs[0][2], ds.samples[first[2]].image)
+
+    def test_pooling_takes_over_the_sigmoid_of_the_layer_below(self, monkeypatch):
+        calls = _spy_on_layer_backward(monkeypatch)
         net = build_network(NetworkConfig(), 16)
         rng = np.random.default_rng(7)
-        _, traces = network_forward(net, rng.random((1, 32, 32)), rng)
-        for conv, pool, above in (traces[0:3], traces[2:5]):
-            assert conv.post_activation is None
-            assert pool.post_activation is above.input
-            assert np.array_equal(pool.post_activation, maxpool2x2(pool.input))
-        assert traces[4].post_activation is not None and traces[5].post_activation is not None
+        _, outputs, masks = network_forward(net, rng.random((1, 32, 32)), rng)
+        network_backward(net, outputs, masks, np.eye(16)[3])
+        c1, s1, c2, s2, f1, f2 = reversed(calls)
+        for conv, pool, pooled in ((c1, s1, outputs[2]), (c2, s2, outputs[4])):
+            assert conv[1] is None
+            assert pool[1] is pooled
+            assert np.array_equal(pool[1], maxpool2x2(pool[0]))
+        assert f1[1] is outputs[5] and f2[1] is outputs[6]
 
-    def test_a_shared_array_is_stacked_once(self):
-        net = build_network(NetworkConfig(), 17)
-        rng = np.random.default_rng(8)
-        traces = [network_forward(net, rng.random((1, 32, 32)), rng)[1] for _ in range(4)]
-        stacked = stack_traces(traces)
-        assert stacked[1].post_activation is stacked[2].input
-        assert stacked[3].post_activation is stacked[4].input
-        assert stacked[4].input.shape == (4, 12, 5, 5)
+    def test_a_shared_array_is_stacked_once(self, monkeypatch):
+        calls = _spy_on_layer_backward(monkeypatch)
+        ds = generate_synthetic(SynthSpec(per_class_count=1, seed=8), LabelMap())
+        train(build_network(NetworkConfig(), 17), ds, TrainConfig(epochs=1, batch_size=4, seed=8))
+        f2, f1, s2, c2, s1, c1 = calls[:6]
+        assert s1[1] is c2[0]
+        assert s2[1] is f1[0]
+        assert f1[0].shape == (4, 12, 5, 5)
 
     def test_public_calls_share_no_memory(self):
         net = build_network(NetworkConfig(), 18)
@@ -318,12 +360,10 @@ class TestNetworkBackward:
         targets = np.eye(16)[rng.integers(16, size=3)]
         calls = []
         for _ in range(2):
-            traces = stack_traces([network_forward(net, rng.random((1, 32, 32)), rng)[1]
-                                   for _ in range(3)])
-            grads = network_backward(net, traces, targets)
+            outputs, masks = _forward_batch(net, rng.random((3, 1, 32, 32)), rng)
+            grads = network_backward(net, outputs, masks, targets)
             calls.append([a for g in grads if g is not None for a in (g.weights, g.biases)]
-                         + [a for t in traces for a in (t.input, t.post_activation)
-                            if a is not None])
+                         + [a for a in outputs + masks if a is not None])
         first, second = calls
         for a in first:
             for b in second:
@@ -331,9 +371,9 @@ class TestNetworkBackward:
 
     def test_target_shape_mismatch(self):
         net = build_network(REDUCED, 14)
-        _, traces = network_forward(net, np.zeros((1, 16, 16)))
+        _, outputs, masks = network_forward(net, np.zeros((1, 16, 16)))
         with pytest.raises(ValueError, match="target"):
-            network_backward(net, traces, np.zeros(16))
+            network_backward(net, outputs, masks, np.zeros(16))
 
 
 class TestPredict:
@@ -375,3 +415,40 @@ class TestPredict:
         b = predict(net, img)
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
+
+
+class TestNumpyRulesABatchedForwardRestsOn:
+    """A forward pass over a whole mini-batch keeps the per-image bytes only
+    because numpy behaves as pinned here, at the network's shapes. A numpy
+    that changes one of these rules fails here by name."""
+
+    @pytest.mark.parametrize("n", [1, 7, 10, 32])
+    @pytest.mark.parametrize("rows, inner, cols", [(6, 25, 784), (12, 150, 100)],
+                             ids=["C1", "C2"])
+    def test_stacked_matmul_equals_the_per_image_matmul(self, rows, inner, cols, n):
+        rng = np.random.default_rng(n)
+        w = rng.uniform(-0.5, 0.5, (rows, inner))
+        stack = rng.random((n, inner, cols))
+        stacked = np.matmul(w, stack)
+        for i in range(n):
+            assert stacked[i].tobytes() == (w @ stack[i]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 10, 32])
+    @pytest.mark.parametrize("units, inputs", [(300, 300), (16, 300)], ids=["F1", "F2"])
+    def test_matmul_over_column_vectors_equals_the_matrix_vector_product(
+        self, units, inputs, n
+    ):
+        rng = np.random.default_rng(n)
+        w = rng.uniform(-0.1, 0.1, (units, inputs))
+        v = rng.random((n, inputs))
+        v[rng.random(v.shape) < 0.5] = 0.0  # dropout-zeroed inputs
+        stacked = np.matmul(w, v[:, :, None])
+        for i in range(n):
+            assert stacked[i, :, 0].tobytes() == (w @ v[i]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 10, 32])
+    def test_one_draw_of_a_batch_equals_a_draw_per_image(self, n):
+        batch = np.random.default_rng(n).random((n, 300))
+        per_image = np.random.default_rng(n)
+        for row in batch:
+            assert row.tobytes() == per_image.random(300).tobytes()

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from blprs.tensor import (
-    ArgmaxMask,
     conv2d_backward,
     conv2d_valid,
     _im2col,
@@ -159,14 +158,14 @@ class TestConvBackward:
 class TestMaxPool:
     def test_single_window(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out, mask = maxpool2x2(x), pool_argmax(x)
+        out, (rows, cols) = maxpool2x2(x), pool_argmax(x)
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == 4.0
-        assert mask.rows[0, 0, 0] == 1 and mask.cols[0, 0, 0] == 1
+        assert rows[0, 0, 0] == 1 and cols[0, 0, 0] == 1
 
     def test_mask_is_boolean(self):
-        mask = pool_argmax(np.random.default_rng(2).standard_normal((3, 4, 6)))
-        assert mask.rows.dtype == bool and mask.cols.dtype == bool
+        rows, cols = pool_argmax(np.random.default_rng(2).standard_normal((3, 4, 6)))
+        assert rows.dtype == bool and cols.dtype == bool
 
     def test_table_shape_28_to_14(self):
         out = maxpool2x2(np.zeros((6, 28, 28)))
@@ -196,18 +195,18 @@ class TestMaxPool:
 
     def test_mask_is_first_maximum_on_ties(self):
         for x in _tie_heavy_input():
-            out, mask = maxpool2x2(x), pool_argmax(x)
-            rows, cols = maxpool_mask_reference(x)
+            out, (rows, cols) = maxpool2x2(x), pool_argmax(x)
+            want_rows, want_cols = maxpool_mask_reference(x)
             assert out.tobytes() == maxpool_reference(x).tobytes()
-            assert np.array_equal(mask.rows, rows) and np.array_equal(mask.cols, cols)
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
 
     @pytest.mark.parametrize("position", range(4))
     def test_nan_reaches_output(self, position):
         x = np.arange(4.0).reshape(1, 2, 2)
         x.flat[position] = np.nan
-        out, mask = maxpool2x2(x), pool_argmax(x)
+        out, (rows, cols) = maxpool2x2(x), pool_argmax(x)
         assert np.isnan(out[0, 0, 0])
-        assert (mask.rows[0, 0, 0], mask.cols[0, 0, 0]) == divmod(position, 2)
+        assert (rows[0, 0, 0], cols[0, 0, 0]) == divmod(position, 2)
 
 
 class TestMaxPoolBackward:
@@ -219,8 +218,8 @@ class TestMaxPoolBackward:
 
     def test_tie_goes_to_first_in_scan_order(self):
         x = np.full((1, 2, 2), 5.0)
-        mask = pool_argmax(x)
-        assert mask.rows[0, 0, 0] == 0 and mask.cols[0, 0, 0] == 0
+        mask = rows, cols = pool_argmax(x)
+        assert rows[0, 0, 0] == 0 and cols[0, 0, 0] == 0
         grad = maxpool2x2_backward(np.array([[[2.0]]]), mask, x.shape)
         assert np.array_equal(grad, [[[2.0, 0.0], [0.0, 0.0]]])
 
@@ -302,9 +301,8 @@ class TestBatchAxis:
         for shape in ((1, 18, 18), (6, 28, 28), (12, 10, 10)):
             x = rng.integers(0, 3, size=(n, *shape)).astype(np.float64)
             masks = [pool_argmax(x_i) for x_i in x]
-            mask = ArgmaxMask(rows=np.stack([m.rows for m in masks]),
-                              cols=np.stack([m.cols for m in masks]))
-            g = rng.standard_normal(mask.shape)  # negative entries too
+            mask = rows, cols = tuple(np.stack(m) for m in zip(*masks))
+            g = rng.standard_normal(rows.shape)  # negative entries too
             per_image = [maxpool2x2_backward(g_i, m, shape) for g_i, m in zip(g, masks)]
             got = maxpool2x2_backward(g, mask, x.shape)
             assert got.tobytes() == np.stack(per_image).tobytes()
@@ -375,11 +373,11 @@ class TestSameBytesAsWhereKernels:
 
     def _assert_pool_matches(self, x):
         out, rows, cols = maxpool_where_reference(x)
-        got, mask = maxpool2x2(x), pool_argmax(x)
+        got, (got_rows, got_cols) = maxpool2x2(x), pool_argmax(x)
         assert got.shape == out.shape and got.tobytes() == out.tobytes()
-        assert mask.rows.dtype == rows.dtype and mask.cols.dtype == cols.dtype
-        assert mask.rows.tobytes() == rows.tobytes()
-        assert mask.cols.tobytes() == cols.tobytes()
+        assert got_rows.dtype == rows.dtype and got_cols.dtype == cols.dtype
+        assert got_rows.tobytes() == rows.tobytes()
+        assert got_cols.tobytes() == cols.tobytes()
 
     @pytest.mark.parametrize("n", [None, 1, 2, 10])
     def test_pooling_on_ties(self, n):
@@ -421,10 +419,10 @@ class TestEqualityMask:
 
     def _assert_mask_matches(self, x):
         rows, cols = pool_argmax_where_reference(x)
-        for mask in (pool_argmax(x), pool_argmax(x, maxpool2x2(x))):
-            assert mask.rows.dtype == rows.dtype and mask.cols.dtype == cols.dtype
-            assert mask.rows.tobytes() == rows.tobytes()
-            assert mask.cols.tobytes() == cols.tobytes()
+        for got_rows, got_cols in (pool_argmax(x), pool_argmax(x, maxpool2x2(x))):
+            assert got_rows.dtype == rows.dtype and got_cols.dtype == cols.dtype
+            assert got_rows.tobytes() == rows.tobytes()
+            assert got_cols.tobytes() == cols.tobytes()
 
     @pytest.mark.parametrize("n", [None, 1, 2, 10])
     def test_ties(self, n):

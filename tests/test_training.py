@@ -4,16 +4,19 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blprs
 import blprs.training as training_module
 from blprs.checkpoint import save_checkpoint
 from blprs.data import Dataset, LabelMap, Sample, SynthSpec, generate_synthetic
 from blprs.layers import LayerState
-from blprs.network import NetworkConfig, build_network
+from blprs.network import NetworkConfig, build_network, predict
 from blprs.training import (
     DivergenceError,
     TrainConfig,
@@ -22,6 +25,7 @@ from blprs.training import (
     split_dataset,
     train,
 )
+from oracles import network_forward_reference, train_step_reference
 
 SMALL_NET = NetworkConfig(dropout_rate=0.5)
 
@@ -440,3 +444,84 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="class index 4 .* 4 classes"):
             evaluate(net, ds)
         assert calls == []
+
+
+@st.composite
+def _reduced_configs(draw):
+    """Small networks whose every pooled map stays even: a final 1 or 2 px
+    side is grown back through both conv+pool stages."""
+    k = draw(st.integers(1, 5))
+
+    def side():
+        pooled = 2 * draw(st.integers(1, 2)) + k - 1
+        return 2 * pooled + k - 1
+
+    return NetworkConfig(
+        input_shape=(1, side(), side()),
+        conv1_maps=draw(st.integers(1, 3)),
+        conv2_maps=draw(st.integers(1, 4)),
+        kernel_size=k,
+        hidden_units=draw(st.integers(1, 20)),
+        class_count=draw(st.integers(2, 6)),
+        dropout_rate=draw(st.sampled_from([0.0, 0.5])),
+    )
+
+
+# Few distinct pixel values tie most pooling windows; +/-60 saturates the
+# sigmoids to their clamps, and their derivatives to subnormals or zero.
+_PIXELS = {
+    "ties": [0.0, 0.5, 1.0],
+    "saturating": [-60.0, 0.0, 60.0],
+    "uniform": None,
+}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    config=_reduced_configs(),
+    batch_size=st.integers(1, 12),
+    extra=st.integers(0, 5),
+    epochs=st.integers(1, 2),
+    pixels=st.sampled_from(sorted(_PIXELS)),
+    seed=st.integers(0, 2**16),
+)
+def test_train_and_predict_equal_the_per_image_reference(
+    config, batch_size, extra, epochs, pixels, seed
+):
+    rng = np.random.default_rng(seed)
+    n = batch_size + extra
+    shape = (n, *config.input_shape)
+    values = _PIXELS[pixels]
+    images = rng.random(shape) if values is None else rng.choice(values, shape)
+    classes = rng.integers(config.class_count, size=n)
+    # Sample pins 32x32 crops in [0,1]; train reads only these two fields.
+    samples = [SimpleNamespace(image=image, class_index=int(c))
+               for image, c in zip(images, classes)]
+    net = build_network(config, seed=seed)
+    train_config = TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed)
+
+    got, report = train(net, Dataset(samples=samples, labels=LabelMap()), train_config)
+
+    want = copy.deepcopy(net)
+    targets = np.eye(config.class_count)[classes]
+    draws = np.random.default_rng(seed)
+    grads, per_epoch_error = None, []
+    for _ in range(epochs):
+        order = draws.permutation(n)
+        epoch_loss = 0.0
+        for lo in range(0, n, batch_size):
+            batch = order[lo : lo + batch_size]
+            losses, grads = train_step_reference(
+                want, images[batch], targets[batch], train_config.learning_rate, draws, grads
+            )
+            for loss in losses:
+                epoch_loss += loss
+        per_epoch_error.append(epoch_loss / n)
+
+    assert report.per_epoch_error == per_epoch_error
+    for a, b in zip(got.states, want.states):
+        if b is not None:
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.biases.tobytes() == b.biases.tobytes()
+    for image in images:
+        assert predict(got, image)[1].tobytes() == network_forward_reference(want, image)[0].tobytes()
