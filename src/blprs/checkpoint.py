@@ -65,13 +65,13 @@ def save_checkpoint(net: Network, labels: LabelMap, path) -> None:
     parametric = [s for s in net.states if s is not None]
     parts.append(struct.pack("<I", len(parametric)))
     for state in parametric:
-        w = np.ascontiguousarray(state.weights, dtype=np.float64)
-        b = np.ascontiguousarray(state.biases, dtype=np.float64)
+        w = np.asarray(state.weights, dtype="<f8")
+        b = np.asarray(state.biases, dtype="<f8")
         parts.append(struct.pack("<I", w.ndim))
         parts.append(struct.pack(f"<{w.ndim}I", *w.shape))
-        parts.append(w.astype("<f8").tobytes())
+        parts.append(w.tobytes())
         parts.append(struct.pack("<I", b.size))
-        parts.append(b.astype("<f8").tobytes())
+        parts.append(b.tobytes())
     parts.append(struct.pack("<I", len(labels)))
     for label in labels.labels:
         encoded = label.encode("utf-8")

@@ -71,11 +71,13 @@ def _load_data_dir(root) -> tuple:
 
 
 def _cmd_train(args) -> int:
+    if args.curve and args.curve.resolve() == args.out.resolve():
+        raise ValueError(f"{args.curve}: --curve names the --out file")
     for path in filter(None, (args.out, args.curve)):
-        parent = Path(path).parent
+        parent = path.parent
         if not parent.is_dir():
             raise ValueError(f"{path}: directory {parent} does not exist")
-        if Path(path).is_dir():
+        if path.is_dir():
             raise ValueError(f"{path}: is a directory, not a file path")
     tc = TrainConfig(
         epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch, seed=args.seed
@@ -181,8 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", type=float, default=NetworkConfig.dropout_rate)
     p.add_argument("--split", type=float, default=0.9)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--out", required=True, help="checkpoint file to write")
-    p.add_argument("--curve", help="learning-curve CSV to write")
+    p.add_argument("--out", type=Path, required=True, help="checkpoint file to write")
+    p.add_argument("--curve", type=Path, help="learning-curve CSV to write")
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -1,16 +1,16 @@
 """Character-image ingestion and the synthetic 16-class glyph generator.
 
-Samples are 32x32 single-channel float64 images in [0,1]. Image files are
-binary portable anymaps (PGM P5 / PPM P6, 8-bit), decoded here so loading
-stays dependency-free and bit-exact. A dataset tree is decoded one class
-directory at a time, with one normalization per raw image shape; each
-image's bytes equal those of ``normalize_image(read_pnm(path))``. The
-generator renders a distinct procedural stroke pattern per class and
-perturbs it with a random affine map (rotation, scale, translation, shear)
-plus Gaussian noise, standing in for a real collection of plate-character
-crops. Its random draws keep a fixed order, image after image; the images
-of a class are warped 8 at a time, with the bytes of warping each one
-alone.
+Samples are (C,H,W) float64 images in [0,1], 32x32 single-channel when
+loaded or generated. Image files are binary portable anymaps (PGM P5 / PPM
+P6, 8-bit), decoded here so loading stays dependency-free and bit-exact. A
+dataset tree is decoded one class directory at a time, with one
+normalization per raw image shape; each image's bytes equal those of
+``normalize_image(read_pnm(path))``. The generator renders a distinct
+procedural stroke pattern per class and perturbs it with a random affine
+map (rotation, scale, translation, shear) plus Gaussian noise, standing in
+for a real collection of plate-character crops. Its random draws keep a
+fixed order, image after image; the images of a class are warped 8 at a
+time, with the bytes of warping each one alone.
 """
 from __future__ import annotations
 
@@ -52,8 +52,9 @@ class LabelMap:
             raise ValueError(
                 f"label map needs exactly {CLASS_COUNT} labels, got {len(labels)}"
             )
-        if len(set(labels)) != len(labels) or any(not s for s in labels):
-            raise ValueError("labels must be unique and non-empty")
+        for i, label in enumerate(labels):  # each names a class directory
+            if label in ("", ".", "..", *labels[:i]) or "/" in label or "\0" in label:
+                raise ValueError(f"label {label!r} is repeated or not a directory name")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -67,16 +68,16 @@ class LabelMap:
 
 @dataclass
 class Sample:
+    """A (C,H,W) image in [0,1] and its class; the network checks the shape."""
+
     image: Tensor
     class_index: int
 
     def __post_init__(self):
         self.image = as_tensor(self.image)
-        if self.image.shape != (1, IMAGE_SIZE, IMAGE_SIZE):
-            raise ValueError(
-                f"sample image must be (1,{IMAGE_SIZE},{IMAGE_SIZE}), "
-                f"got {self.image.shape}"
-            )
+        if self.image.ndim != 3 or not self.image.size:
+            raise ValueError("sample image must be a non-empty (C,H,W) array, "
+                             f"got shape {self.image.shape}")
         lo, hi = float(self.image.min()), float(self.image.max())
         if not 0.0 <= lo <= hi <= 1.0:
             raise ValueError(f"pixel values must lie in [0,1], got [{lo}, {hi}]")

@@ -37,7 +37,7 @@ FC = "fc"
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Declarative description of one layer.
+    """Declares one layer; each convolution and fully connected layer ends in a sigmoid.
 
     ``out_maps`` is the output feature-map count for convolutions and the
     unit count for fully connected layers; pooling layers ignore it.
@@ -46,23 +46,23 @@ class LayerSpec:
     kind: str
     out_maps: Optional[int] = None
     kernel_size: Optional[int] = None
-    apply_sigmoid: bool = False
     dropout_rate: float = 0.0
 
     def __post_init__(self):
         if self.kind not in (CONV, POOL, FC):
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind == CONV:
-            if not self.out_maps or not self.kernel_size:
-                raise ValueError("convolution needs out_maps and kernel_size")
-        elif self.kernel_size is not None:
+        if self.kind != POOL and (self.out_maps or 0) < 1:
+            raise ValueError(f"{self.kind} layer needs out_maps >= 1, got {self.out_maps}")
+        if self.kind == CONV and (self.kernel_size or 0) < 1:
+            raise ValueError(f"convolution needs kernel_size >= 1, got {self.kernel_size}")
+        if self.kind != CONV and self.kernel_size is not None:
             raise ValueError("kernel_size only applies to convolutions")
-        if self.kind == FC and not self.out_maps:
-            raise ValueError("fully connected layer needs a unit count")
-        if self.kind == POOL and self.apply_sigmoid:
-            raise ValueError("pooling layers carry no nonlinearity")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
+
+    @property
+    def apply_sigmoid(self) -> bool:
+        return self.kind != POOL
 
 
 @dataclass
@@ -98,14 +98,8 @@ def layer_forward(
         out = conv2d_valid(x, state.weights, state.biases)
     elif spec.kind == POOL:
         out = maxpool2x2(x)
-    else:  # FC
-        v = x.ravel()
-        if state.weights.shape[1] != v.size:
-            raise ValueError(
-                f"fully connected layer expects {state.weights.shape[1]} inputs, "
-                f"got {v.size}"
-            )
-        out = state.weights @ v + state.biases
+    else:  # FC; a wrong input size fails in the matmul
+        out = state.weights @ x.ravel() + state.biases
     if spec.apply_sigmoid:
         out = sigmoid_map(out)
     if spec.dropout_rate > 0.0 and rng is not None:

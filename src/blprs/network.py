@@ -53,18 +53,19 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "layer_specs", (
-            LayerSpec(CONV, self.conv1_maps, self.kernel_size, apply_sigmoid=True),
+            LayerSpec(CONV, self.conv1_maps, self.kernel_size),
             LayerSpec(POOL),
-            LayerSpec(CONV, self.conv2_maps, self.kernel_size, apply_sigmoid=True),
+            LayerSpec(CONV, self.conv2_maps, self.kernel_size),
             LayerSpec(POOL),
-            LayerSpec(FC, self.hidden_units, apply_sigmoid=True,
-                      dropout_rate=self.dropout_rate),
-            LayerSpec(FC, self.class_count, apply_sigmoid=True),
+            LayerSpec(FC, self.hidden_units, dropout_rate=self.dropout_rate),
+            LayerSpec(FC, self.class_count),
         ))
 
     def shape_chain(self) -> list[tuple]:
         """Per-layer output shapes, input first; raises on an invalid chain."""
         shapes = [tuple(self.input_shape)]
+        if len(shapes[0]) != 3 or min(shapes[0]) < 1:
+            raise ValueError(f"input shape must be (C,H,W), each >= 1, got {shapes[0]}")
         for spec in self.layer_specs:
             if spec.kind == FC:
                 shapes.append((spec.out_maps,))
@@ -100,7 +101,7 @@ class NetworkConfig:
 @dataclass
 class Network:
     config: NetworkConfig
-    states: list = field(default_factory=list)
+    states: list
 
 
 def build_network(config: NetworkConfig, seed: int) -> Network:
@@ -142,7 +143,7 @@ def network_forward(
         raise ValueError("input image contains NaN or infinite values")
     outputs, masks = [image], []
     x = image
-    for spec, state in zip(net.config.layer_specs, net.states):
+    for spec, state in zip(net.config.layer_specs, net.states, strict=True):
         out, mask = layer_forward(spec, state, x, rng)
         outputs.append(out)
         masks.append(mask)
@@ -176,15 +177,16 @@ def network_backward(
     inputs = [x if m is None else x * m for x, m in zip(outputs, [None, *masks])]
     grad = outputs[-1] - target
     grads: list[Optional[LayerState]] = [None] * len(specs)
-    for i in range(len(specs) - 1, -1, -1):
+    layers = zip(specs, net.states, inputs[:-1], outputs[1:], masks,
+                 [None] * len(specs) if previous is None else previous, strict=True)
+    for i, (spec, state, x, y, mask, prev) in reversed(list(enumerate(layers))):
         # Every convolution and fully connected layer ends in a sigmoid. A
         # convolution's derivative is taken at the pooling layer above it,
         # on the pooled maps: a quarter of the values, the same bytes.
-        y = None if specs[i].kind == CONV else outputs[i + 1]
         # Nothing reads the gradient w.r.t. the image, so C1 skips it.
         grad, grads[i] = layer_backward(
-            specs[i], net.states[i], inputs[i], grad, y, masks[i], input_grad=i > 0,
-            previous=None if previous is None else previous[i],
+            spec, state, x, grad, None if spec.kind == CONV else y, mask,
+            input_grad=i > 0, previous=prev,
         )
     return grads
 

@@ -100,9 +100,10 @@ def split_dataset(ds: Dataset, train_fraction: float, seed: int):
 def sgd_update(net: Network, grads: list, learning_rate: float) -> Network:
     """In place, w <- w - lr*g over every weight and bias; returns ``net``.
 
-    Every shape is checked before any array changes.
+    Every shape and the layer count are checked before any array changes.
     """
-    pairs = [(s, g) for s, g in zip(net.states, grads) if s is not None]
+    layers = zip(net.config.layer_specs, net.states, grads, strict=True)
+    pairs = [(s, g) for _, s, g in layers if s is not None]
     for state, grad in pairs:
         if (
             grad is None

@@ -97,7 +97,7 @@ def test_criterion_3_shape_chain():
 def _random_layer_instance(kind, rng):
     if kind == CONV:
         cin, cout, k = int(rng.integers(1, 3)), int(rng.integers(1, 3)), 2
-        spec = LayerSpec(CONV, cout, k, apply_sigmoid=True)
+        spec = LayerSpec(CONV, cout, k)
         state = LayerState(rng.standard_normal((cout, cin, k, k)),
                            rng.standard_normal(cout))
         x = rng.standard_normal((cin, int(rng.integers(2, 6)), int(rng.integers(2, 6))))
@@ -107,8 +107,7 @@ def _random_layer_instance(kind, rng):
         x = rng.permutation(np.arange(c * 16, dtype=np.float64)).reshape(c, 4, 4)
     else:
         n_in, n_out = int(rng.integers(3, 8)), int(rng.integers(2, 5))
-        spec = LayerSpec(FC, n_out, apply_sigmoid=True,
-                         dropout_rate=0.4 if rng.integers(2) else 0.0)
+        spec = LayerSpec(FC, n_out, dropout_rate=0.4 if rng.integers(2) else 0.0)
         state = LayerState(rng.standard_normal((n_out, n_in)),
                            rng.standard_normal(n_out))
         x = rng.standard_normal(n_in)
@@ -253,8 +252,8 @@ def test_criterion_8_dropout_contract():
     mask = dropout_mask((1000, 1000), 0.5, np.random.default_rng(8001))
     kept = np.count_nonzero(mask) / mask.size
     rng = np.random.default_rng(8002)
-    spec_drop = LayerSpec(FC, 8, apply_sigmoid=True, dropout_rate=0.5)
-    spec_plain = LayerSpec(FC, 8, apply_sigmoid=True, dropout_rate=0.0)
+    spec_drop = LayerSpec(FC, 8, dropout_rate=0.5)
+    spec_plain = LayerSpec(FC, 8, dropout_rate=0.0)
     state = LayerState(rng.standard_normal((8, 10)), rng.standard_normal(8))
     x = rng.random(10)
     out_eval, _ = layer_forward(spec_drop, state, x)

@@ -60,6 +60,21 @@ class TestSave:
         save_checkpoint(trained_net, LabelMap(), path)
         assert _count_payload_floats(path) == 97084
 
+    @pytest.mark.parametrize("relayout", [
+        lambda w: w.astype(">f8"),  # big-endian
+        lambda w: np.repeat(w, 2, axis=-1)[..., ::2],  # not contiguous
+    ], ids=["big-endian", "strided"])
+    def test_bytes_do_not_depend_on_the_array_layout(self, trained_net, tmp_path,
+                                                     relayout):
+        a, b = tmp_path / "a.blpr", tmp_path / "b.blpr"
+        save_checkpoint(trained_net, LabelMap(), a)
+        net = build_network(NetworkConfig(dropout_rate=0.5), seed=31)
+        for s in net.states:
+            if s is not None:
+                s.weights, s.biases = relayout(s.weights), relayout(s.biases)
+        save_checkpoint(net, LabelMap(), b)
+        assert a.read_bytes() == b.read_bytes()
+
     def test_no_temp_file_left_behind(self, trained_net, tmp_path):
         path = tmp_path / "t.blpr"
         save_checkpoint(trained_net, LabelMap(), path)
@@ -168,6 +183,20 @@ class TestLoad:
         struct.pack_into("<I", raw, offset, dim + 1)
         path.write_bytes(bytes(raw))
         with pytest.raises(ShapeMismatchError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", range(8))
+    def test_zero_config_field_names_the_file(self, trained_net, tmp_path, field):
+        # in_maps, in_h, in_w, conv1_maps, conv2_maps, kernel_size,
+        # hidden_units, class_count; byte 5 is in_maps. A zero input map
+        # count must fail here, naming the file, not at predict.
+        path = tmp_path / "z.blpr"
+        save_checkpoint(trained_net, LabelMap(), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 5 + 4 * field, 0)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ShapeMismatchError,
+                           match=re.escape(f"{path}: config describes no valid network")):
             load_checkpoint(path)
 
     def test_trailing_garbage(self, trained_net, tmp_path):

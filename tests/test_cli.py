@@ -1,12 +1,20 @@
+import contextlib
 import hashlib
+import io
+import os
 import re
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blprs.cli as cli_module
-from blprs.checkpoint import save_checkpoint
+from blprs.checkpoint import load_checkpoint, save_checkpoint
 from blprs.cli import export_curve_csv, main
-from blprs.data import LabelMap
+from blprs.data import LabelMap, load_dataset_dir
 from blprs.network import NetworkConfig, build_network
 from blprs.training import TrainingReport
 
@@ -402,3 +410,175 @@ class TestCliPlumbing:
                      "--data", str(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Property: every argument list of every subcommand either works or fails
+# with one `error:` line, and a failed command writes nothing.
+
+_ABSENT = None
+_HUGE = "99999999999999999999"
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    """What the drawn argument lists point at, by role: a 2-per-class synth
+    tree, a model trained on it, and a missing path, a directory, /dev/null
+    and corrupt files for every kind of input."""
+    root = tmp_path_factory.mktemp("world")
+    tree = root / "tree"
+    assert main(["synth", "--out", str(tree), "--per-class", "2", "--seed", "5"]) == 0
+    model = root / "model.blpr"
+    assert main(["train", "--data", str(tree), "--epochs", "1", "--split", "0.5",
+                 "--out", str(model)]) == 0
+    image = tree / LabelMap()[3] / "00001.pgm"
+    raw = model.read_bytes()
+    files = {
+        "truncated.blpr": raw[:len(raw) // 2],
+        "zero-maps.blpr": raw[:5] + b"\0" + raw[6:],  # in_maps = 0
+        "header.pgm": b"P5\n0 0\n255\n",
+        "small.ppm": b"P6\n7 5\n255\n" + bytes(range(105)),
+        "15-labels.txt": "\n".join(LabelMap().labels[:15]).encode("utf-8"),
+        "not-utf8.txt": b"\xff\xfe\n",
+        "dot-dot.txt": "\n".join(("..", *LabelMap().labels[1:])).encode("utf-8"),
+        "dot.txt": "\n".join((".", *LabelMap().labels[1:])).encode("utf-8"),
+        "slash.txt": "\n".join(("a/b", *LabelMap().labels[1:])).encode("utf-8"),
+        "nul.txt": "\n".join(("a\0b", *LabelMap().labels[1:])).encode("utf-8"),
+        "labels.txt": (tree / "labels.txt").read_bytes(),
+    }
+    for name, content in files.items():
+        (root / name).write_bytes(content)
+    bad_tree = root / "bad-tree"
+    shutil.copytree(tree, bad_tree)
+    (bad_tree / LabelMap()[0] / "00000.pgm").write_bytes(b"P5\n32 32\n255\n")
+    (root / "empty").mkdir()
+    common = [str(root / "missing"), str(root / "empty"), "/dev/null"]
+    bad_labels = ["dot-dot", "dot", "slash", "nul", "15-labels", "not-utf8"]
+    return root, {  # role: (good paths, bad paths)
+        "data": ([str(tree)], [str(bad_tree), str(root / "labels.txt"), *common]),
+        "model": ([str(model)], [str(root / "truncated.blpr"),
+                                 str(root / "zero-maps.blpr"), str(image), *common]),
+        "image": ([str(image), str(root / "small.ppm")],
+                  [str(root / "header.pgm"), str(model), *common]),
+        "labels": ([_ABSENT, str(root / "labels.txt")],
+                   [*(str(root / f"{name}.txt") for name in bad_labels), *common]),
+    }
+
+
+@st.composite
+def _flags(draw, **choices):
+    """``--flag=value`` arguments, each read by argparse as one value even
+    when it is ``-inf``. Each flag takes one of its good values, absence
+    among them, except at most one drawn as faulty, which takes a bad one."""
+    faulty = draw(st.sampled_from([None, *choices]))
+    argv = []
+    for name, (good, bad) in choices.items():
+        value = draw(st.sampled_from(bad if name == faulty and bad else good))
+        if value is not _ABSENT:
+            argv.append(f"--{name.replace('_', '-')}={value}")
+    return argv
+
+
+def _arguments(paths):
+    """One argument list for one subcommand, every value of a type its flag
+    parses. Outputs are named relative to a fresh working directory, which
+    holds a directory ``isdir`` and a file ``afile``. ``--epochs`` and
+    ``--per-class`` are never absent: their defaults train for 1,000 epochs
+    and write 1,600 images."""
+    train = _flags(
+        data=paths["data"],
+        epochs=(["1", "2"], ["0", "-1", f"-{_HUGE}"]),
+        lr=([_ABSENT, "0.5", "3", "1e-300"], ["0", "-1", "-0.0", "nan", "inf", "-inf",
+                                             "1e300"]),
+        batch=([_ABSENT, "1", "16"], ["17", "0", "-1", _HUGE]),
+        dropout=([_ABSENT, "0", "0.5", "0.999"], ["1", "-0.1", "nan", "inf"]),
+        split=([_ABSENT, "0.5", "0.99"], ["0.01", "0", "1", "-1", "nan", "inf"]),
+        seed=([_ABSENT, "0", _HUGE], ["-1", f"-{_HUGE}"]),
+        out=(["out.blpr", "afile"], ["nodir/out.blpr", "isdir", ""]),
+        curve=([_ABSENT, "curve.csv"], ["out.blpr", "nodir/curve.csv", "isdir", ""]),
+    ).map(lambda a: ["train", *a])
+    eval_ = _flags(model=paths["model"], data=paths["data"]).map(
+        lambda a: ["eval", *a])
+    predict = _flags(model=paths["model"], image=paths["image"]).map(
+        lambda a: ["predict", *a])
+    inspect = _flags(convention=([_ABSENT, "paper", "standard"], [])).map(
+        lambda a: ["inspect", *a])
+    synth = _flags(
+        out=(["ds", "nodir/ds", "isdir", ""], ["afile", "afile/ds"]),
+        per_class=(["1", "2"], ["0", "-1", f"-{_HUGE}"]),
+        seed=([_ABSENT, "0", _HUGE], ["-1", f"-{_HUGE}"]),
+        rotation=([_ABSENT, "0", "-0.0", "15", "1e300"], ["-1", "nan", "inf", "1e308"]),
+        scale_low=([_ABSENT, "0.001", "0.5"], ["0", "-1", "1e-300", "2", "nan", "inf"]),
+        scale_high=([_ABSENT, "1000", "1.5"], ["1001", "0.1", "nan", "inf"]),
+        translate=([_ABSENT, "0", "3", "10000"], ["10001", "1e300", "-1", "nan", "inf"]),
+        shear=([_ABSENT, "0", "100"], ["101", "-1", "nan", "inf"]),
+        noise=([_ABSENT, "0", "-0.0", "0.5", "1e300"], ["-1", "nan", "inf"]),
+        labels=paths["labels"],
+    ).map(lambda a: ["synth", *a])
+    return {"train": train, "eval": eval_, "predict": predict, "inspect": inspect,
+            "synth": synth}
+
+
+def _value(argv, flag):
+    return next((a.split("=", 1)[1] for a in argv if a.startswith(f"{flag}=")), None)
+
+
+def _listing(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+
+
+def _check_run(root, argv):
+    """Run ``argv`` in a fresh working directory holding ``isdir`` and
+    ``afile``: it exits 0, or 1 after one ``error:`` line and nothing else
+    written, and what it wrote on success reads back."""
+    work = Path(tempfile.mkdtemp(dir=root)).resolve()
+    (work / "isdir").mkdir()
+    (work / "afile").write_bytes(b"")
+    before, tree_before = _listing(work), _listing(root / "tree")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)  # "" names the working directory
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    if code == 1:
+        assert re.fullmatch(r"error: [^\n]+\n", err), (argv, err)
+        assert out == "", argv
+        assert _listing(work) == before, argv
+    else:
+        assert code == 0 and err == "" and out, (argv, code, err)
+        if argv[0] == "train":
+            load_checkpoint(work / _value(argv, "--out"))
+            if _value(argv, "--curve") is not None:
+                curve = work / _value(argv, "--curve")
+                assert curve.read_text().startswith("epoch,mean_error,seconds\n")
+        if argv[0] == "synth":
+            tree = (work / _value(argv, "--out")).resolve()
+            if not any((work / p).is_relative_to(tree) for p in before):
+                # A tree in a fresh directory reads back whole.
+                per_class = int(_value(argv, "--per-class"))
+                labels = (tree / "labels.txt").read_text("utf-8").splitlines()
+                tree_set = load_dataset_dir(tree, LabelMap(tuple(labels)))
+                assert len(tree_set) == 16 * per_class, argv
+            new = [work / p for p in _listing(work) if p not in before]
+            assert all(p.is_relative_to(tree) or tree.is_relative_to(p) for p in new), argv
+    assert _listing(root / "tree") == tree_before, argv
+    shutil.rmtree(work)
+
+
+# Examples per subcommand: about 4 s in all on a 2-CPU host.
+@pytest.mark.parametrize("command, examples", [
+    ("train", 200), ("eval", 40), ("predict", 40), ("inspect", 3), ("synth", 300),
+])
+def test_every_argument_list_works_or_fails_with_one_error_line(world, command, examples):
+    root, paths = world
+
+    @settings(max_examples=examples, derandomize=True, deadline=None)
+    @given(argv=_arguments(paths)[command])
+    def run(argv):
+        _check_run(root, argv)
+
+    run()

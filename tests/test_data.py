@@ -44,6 +44,12 @@ class TestLabelMap:
         with pytest.raises(ValueError):
             LabelMap(("x",) * 16)
 
+    @pytest.mark.parametrize("bad", ["", ".", "..", "a/b", "/", "a\0b"])
+    def test_label_that_names_no_class_directory_rejected(self, bad):
+        # synth makes a directory per label, so ".." would write outside the tree.
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            LabelMap((bad, *LabelMap().labels[1:]))
+
     def test_index_round_trip(self):
         labels = LabelMap()
         for i in range(16):
@@ -56,7 +62,7 @@ class TestSample:
         assert s.class_index == 3
 
     def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError, match="1,32,32"):
+        with pytest.raises(ValueError, match=r"\(C,H,W\)"):
             Sample(np.zeros((32, 32)), 0)
 
     def test_out_of_range_pixels_rejected(self):

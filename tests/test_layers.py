@@ -21,7 +21,7 @@ def _random_layer(kind, rng):
         cin, cout, k = int(rng.integers(1, 3)), int(rng.integers(1, 3)), 2
         h = int(rng.integers(k, 6))
         w = int(rng.integers(k, 6))
-        spec = LayerSpec(CONV, cout, k, apply_sigmoid=bool(rng.integers(2)))
+        spec = LayerSpec(CONV, cout, k)
         state = LayerState(rng.standard_normal((cout, cin, k, k)),
                            rng.standard_normal(cout))
         x = rng.standard_normal((cin, h, w))
@@ -34,7 +34,7 @@ def _random_layer(kind, rng):
         x = rng.permutation(np.arange(n, dtype=np.float64)).reshape(c, 4, 4)
     else:
         n_in, n_out = int(rng.integers(2, 8)), int(rng.integers(1, 6))
-        spec = LayerSpec(FC, n_out, apply_sigmoid=bool(rng.integers(2)))
+        spec = LayerSpec(FC, n_out)
         state = LayerState(rng.standard_normal((n_out, n_in)),
                            rng.standard_normal(n_out))
         x = rng.standard_normal(n_in)
@@ -58,13 +58,13 @@ def _backward(spec, state, x, grad_out, rng=None):
 
 class TestLayerForward:
     def test_fc_zero_weights_gives_half(self):
-        spec = LayerSpec(FC, 4, apply_sigmoid=True)
+        spec = LayerSpec(FC, 4)
         state = LayerState(np.zeros((4, 6)), np.zeros(4))
         out, _ = layer_forward(spec, state, np.random.default_rng(0).random(6))
         assert np.all(out == 0.5)
 
     def test_conv_spec_shape_chain(self):
-        spec = LayerSpec(CONV, 6, 5, apply_sigmoid=True)
+        spec = LayerSpec(CONV, 6, 5)
         rng = np.random.default_rng(1)
         state = LayerState(rng.standard_normal((6, 1, 5, 5)), np.zeros(6))
         out, _ = layer_forward(spec, state, rng.random((1, 32, 32)))
@@ -75,8 +75,8 @@ class TestLayerForward:
         w = rng.standard_normal((5, 8))
         b = rng.standard_normal(5)
         x = rng.random(8)
-        with_dropout = LayerSpec(FC, 5, apply_sigmoid=True, dropout_rate=0.5)
-        without = LayerSpec(FC, 5, apply_sigmoid=True, dropout_rate=0.0)
+        with_dropout = LayerSpec(FC, 5, dropout_rate=0.5)
+        without = LayerSpec(FC, 5, dropout_rate=0.0)
         out_eval, _ = layer_forward(with_dropout, LayerState(w, b), x)
         out_train, _ = layer_forward(
             without, LayerState(w, b), x, rng=np.random.default_rng(0)
@@ -85,7 +85,7 @@ class TestLayerForward:
 
     def test_forward_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
-        spec = LayerSpec(FC, 6, apply_sigmoid=True, dropout_rate=0.3)
+        spec = LayerSpec(FC, 6, dropout_rate=0.3)
         state = LayerState(rng.standard_normal((6, 4)), rng.standard_normal(6))
         x = rng.random(4)
         a = _forward(spec, state, x, np.random.default_rng(99))
@@ -99,6 +99,27 @@ class TestLayerForward:
             LayerSpec(POOL, kernel_size=2)
         with pytest.raises(ValueError):
             LayerSpec(FC, 4, dropout_rate=1.0)
+
+
+    def test_fc_wrong_input_size_rejected(self):
+        # The network checks its input shape once; a direct call with the
+        # wrong input size still fails, in the matmul.
+        state = LayerState(np.zeros((4, 6)), np.zeros(4))
+        with pytest.raises(ValueError):
+            layer_forward(LayerSpec(FC, 4), state, np.zeros(7))
+
+    def test_the_kind_fixes_the_sigmoid(self):
+        for spec in (LayerSpec(CONV, 2, 3), LayerSpec(POOL), LayerSpec(FC, 4)):
+            assert spec.apply_sigmoid == (spec.kind != POOL)
+        with pytest.raises(TypeError):
+            LayerSpec(FC, 4, apply_sigmoid=False)
+
+    @pytest.mark.parametrize("args", [
+        (CONV, 0, 5), (CONV, -1, 5), (CONV, 4, 0), (CONV, 4, -1), (FC, 0), (FC, -3),
+    ])
+    def test_sizes_below_one_rejected(self, args):
+        with pytest.raises(ValueError, match=">= 1"):
+            LayerSpec(*args)
 
 
 class TestLayerBackward:
@@ -153,8 +174,7 @@ class TestLayerBackward:
             kind = kinds[trial % 3]
             spec, state, x = _random_layer(kind, rng)
             if kind == FC and rng.integers(2):
-                spec = LayerSpec(FC, spec.out_maps, apply_sigmoid=spec.apply_sigmoid,
-                                 dropout_rate=0.4)
+                spec = LayerSpec(FC, spec.out_maps, dropout_rate=0.4)
             mask_seed = int(rng.integers(2**31))
             out = _forward(spec, state, x, np.random.default_rng(mask_seed))
             weights = rng.standard_normal(out.shape)
@@ -229,7 +249,7 @@ class TestDropoutMask:
         # inverted dropout is unbiased: the mean over many masks converges
         # on the eval-mode output
         rng = np.random.default_rng(8)
-        spec = LayerSpec(FC, 10, apply_sigmoid=True, dropout_rate=0.5)
+        spec = LayerSpec(FC, 10, dropout_rate=0.5)
         state = LayerState(rng.standard_normal((10, 12)), rng.standard_normal(10))
         x = rng.random(12)
         eval_out, _ = layer_forward(spec, state, x)

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from blprs.data import LabelMap, SynthSpec, generate_synthetic, one_hot
 from blprs.network import (
     PAPER,
     STANDARD,
+    Network,
     NetworkConfig,
     build_network,
     count_parameters,
@@ -20,7 +22,7 @@ from blprs.network import (
     predict,
 )
 from blprs.tensor import conv2d_backward, maxpool2x2, pool_argmax
-from blprs.training import TrainConfig, train
+from blprs.training import TrainConfig, sgd_update, train
 from oracles import gradient_gap, numeric_gradient
 
 # Smallest config whose shape chain survives two conv+pool stages with the
@@ -131,6 +133,70 @@ class TestBuildNetwork:
         bad = NetworkConfig(input_shape=(1, 8, 8))
         with pytest.raises(ValueError):
             bad.shape_chain()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("conv1_maps", -1, "out_maps >= 1, got -1"),
+        ("conv2_maps", 0, "out_maps >= 1, got 0"),
+        ("kernel_size", -1, "kernel_size >= 1, got -1"),
+        ("hidden_units", -3, "out_maps >= 1, got -3"),
+        ("class_count", -2, "out_maps >= 1, got -2"),
+        ("class_count", 0, "out_maps >= 1, got 0"),
+        ("input_shape", (0, 32, 32), "input shape"),
+        ("input_shape", (1, 0, 32), "input shape"),
+        ("input_shape", (1, 32, -4), "input shape"),
+        ("input_shape", (32, 32), "input shape"),
+    ])
+    def test_config_that_describes_no_network_rejected(self, field, value, message):
+        # Each fails here, naming the setting, and not later by dividing by
+        # zero, asking numpy for negative dimensions or blaming a pool input.
+        with pytest.raises(ValueError, match=message):
+            build_network(NetworkConfig(**{field: value}), seed=0)
+
+
+class TestOneStatePerLayer:
+    """A Network holds exactly one state per layer of its config, and every
+    walk over the layers pairs them strictly: a network or a gradient list
+    of any other length raises before any array changes."""
+
+    def _setup(self):
+        net = build_network(REDUCED, seed=21)
+        image = np.random.default_rng(21).random(REDUCED.input_shape)
+        _, outputs, masks = network_forward(net, image)
+        target = one_hot(2, REDUCED.class_count)
+        return net, image, outputs, masks, target
+
+    def test_states_have_no_default(self):
+        with pytest.raises(TypeError):
+            Network(NetworkConfig())
+
+    @pytest.mark.parametrize("count", [0, 3, 5, 7])
+    def test_wrong_state_count_rejected(self, count):
+        net, image, outputs, masks, target = self._setup()
+        grads = network_backward(net, outputs, masks, target)
+        bad = Network(REDUCED, (net.states * 2)[:count])
+        before = copy.deepcopy(bad.states)
+        with pytest.raises(ValueError):
+            predict(bad, image)
+        with pytest.raises(ValueError):
+            network_backward(bad, outputs, masks, target)
+        for wrong in (grads, (grads * 2)[:count]):
+            with pytest.raises(ValueError):
+                sgd_update(bad, wrong, 0.1)
+        for a, b in zip(bad.states, before):
+            if a is not None:
+                assert a.weights.tobytes() == b.weights.tobytes()
+                assert a.biases.tobytes() == b.biases.tobytes()
+
+    @pytest.mark.parametrize("count", [3, 5, 7])
+    def test_wrong_gradient_count_rejected(self, count):
+        net, _, outputs, masks, target = self._setup()
+        previous = (network_backward(net, outputs, masks, target) * 2)[:count]
+        held = copy.deepcopy(previous)
+        with pytest.raises(ValueError):
+            network_backward(net, outputs, masks, target, previous)
+        for a, b in zip(previous, held):
+            if a is not None:
+                assert a.weights.tobytes() == b.weights.tobytes()
 
 
 class TestCountParameters:

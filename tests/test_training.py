@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -191,6 +192,24 @@ class TestSgdUpdate:
                 assert np.array_equal(a.weights, b.weights)
                 assert np.array_equal(a.biases, b.biases)
 
+    @pytest.mark.parametrize("count", [0, 3, 5, 7])
+    def test_wrong_gradient_count_rejected(self, count):
+        # Pairing must not stop at the shorter list: three gradients would
+        # update C1 and C2 alone.
+        net = build_network(SMALL_NET, 9)
+        before = copy.deepcopy(net)
+        grads = [
+            None if s is None else LayerState(np.ones_like(s.weights),
+                                              np.ones_like(s.biases))
+            for s in net.states
+        ]
+        with pytest.raises(ValueError):
+            sgd_update(net, (grads * 2)[:count], 0.1)
+        for a, b in zip(net.states, before.states):
+            if a is not None:
+                assert np.array_equal(a.weights, b.weights)
+                assert np.array_equal(a.biases, b.biases)
+
 
 class TestTrain:
     def _tiny_run(self, epochs, seed=42):
@@ -284,6 +303,27 @@ class TestTrain:
         net = build_network(NetworkConfig(), 1)
         with pytest.raises(DivergenceError, match="epoch 1 "):
             train(net, ds, TrainConfig(epochs=3, learning_rate=1e300))
+
+    def test_a_reduced_network_trains_on_samples(self):
+        config = NetworkConfig(input_shape=(1, 16, 16), conv1_maps=2, conv2_maps=4,
+                               hidden_units=20, class_count=4)
+        rng = np.random.default_rng(3)
+        ds = Dataset([Sample(rng.random((1, 16, 16)), c % 4) for c in range(12)],
+                     LabelMap())
+        net, report = train(build_network(config, 3), ds,
+                            TrainConfig(epochs=2, batch_size=4, seed=3))
+        assert len(report.per_epoch_error) == 2
+        assert np.isfinite(report.per_epoch_error).all()
+        assert evaluate(net, ds).sample_count == 12
+
+    def test_samples_of_another_shape_name_both_shapes(self):
+        ds = Dataset([Sample(np.zeros((1, 16, 16)), c) for c in range(4)], LabelMap())
+        net = build_network(NetworkConfig(), 1)
+        both = re.escape("expected input shape (1, 32, 32), got (1, 16, 16)")
+        with pytest.raises(ValueError, match=both):
+            train(net, ds, TrainConfig(epochs=1, batch_size=2))
+        with pytest.raises(ValueError, match=both):
+            evaluate(net, ds)
 
     def test_empty_dataset_rejected(self):
         net = build_network(SMALL_NET, 1)
