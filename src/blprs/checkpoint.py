@@ -10,9 +10,12 @@ IEEE-754 binary64):
         ndim, dims..., weight floats, bias_count, bias floats
     label_count, then per label: byte_length, UTF-8 bytes
 
-Identical networks serialize to identical bytes, so a load(save(net))
-round-trip reproduces every prediction bit-exactly. Loading rejects a file
-whose weights or biases hold NaN or +/-inf, naming the file and the layer.
+The config fixes every record but the floats and the label text: loading
+checks each, and ``save_checkpoint`` refuses, leaving no file, a network
+whose states do not fit the config. Identical networks serialize to
+identical bytes, so a load(save(net)) round-trip reproduces every
+prediction bit-exactly. Loading rejects NaN or +/-inf weights or biases.
+Each error names the file, and the layer at fault.
 """
 from __future__ import annotations
 
@@ -28,7 +31,10 @@ from .network import LAYER_NAMES, Network, NetworkConfig
 
 MAGIC = b"BLPR"
 VERSION = 1
+# The config record: the input shape, then these fields in this order.
 _CONFIG = struct.Struct("<8Id")
+_CONFIG_FIELDS = ("conv1_maps", "conv2_maps", "kernel_size", "hidden_units",
+                  "class_count", "dropout_rate")
 
 
 class CheckpointError(ValueError):
@@ -51,32 +57,48 @@ class ShapeMismatchError(CheckpointError):
     pass
 
 
+def _u32(*values: int) -> bytes:
+    return struct.pack(f"<{len(values)}I", *values)
+
+
+def _layout(config: NetworkConfig) -> tuple[bytes, list]:
+    """The layer-count record, and per layer each array's shape and the u32
+    record before its floats: ndim then the dims for the weights, the count
+    for the biases. A pooling layer has no arrays."""
+    layers = [[] if shape is None else [(shape, _u32(len(shape), *shape)),
+                                        (shape[:1], _u32(shape[0]))]
+              for shape in config.param_shapes()]
+    return _u32(sum(map(bool, layers))), layers
+
+
 def save_checkpoint(net: Network, labels: LabelMap, path) -> None:
     """Serialize network + labels; writes via a temp file, renamed on success."""
     cfg = net.config
+    count, layers = _layout(cfg)
+    if len(net.states) != len(layers):
+        raise ShapeMismatchError(
+            f"{path}: config has {len(layers)} layers, network {len(net.states)} states"
+        )
     parts = [
         MAGIC,
         bytes([VERSION]),
-        _CONFIG.pack(
-            *cfg.input_shape, cfg.conv1_maps, cfg.conv2_maps, cfg.kernel_size,
-            cfg.hidden_units, cfg.class_count, cfg.dropout_rate,
-        ),
+        _CONFIG.pack(*cfg.input_shape, *(getattr(cfg, f) for f in _CONFIG_FIELDS)),
+        count,
     ]
-    parametric = [s for s in net.states if s is not None]
-    parts.append(struct.pack("<I", len(parametric)))
-    for state in parametric:
-        w = np.asarray(state.weights, dtype="<f8")
-        b = np.asarray(state.biases, dtype="<f8")
-        parts.append(struct.pack("<I", w.ndim))
-        parts.append(struct.pack(f"<{w.ndim}I", *w.shape))
-        parts.append(w.tobytes())
-        parts.append(struct.pack("<I", b.size))
-        parts.append(b.tobytes())
-    parts.append(struct.pack("<I", len(labels)))
+    for name, layer, state in zip(LAYER_NAMES, layers, net.states):
+        arrays = [] if state is None else [
+            np.asarray(a, dtype="<f8") for a in (state.weights, state.biases)
+        ]
+        found, expected = [a.shape for a in arrays], [shape for shape, _ in layer]
+        if found != expected:
+            raise ShapeMismatchError(f"{path}: layer {name} holds arrays {found}, "
+                                     f"config-implied {expected}")
+        for (_, record), array in zip(layer, arrays):
+            parts += [record, array.tobytes()]
+    parts.append(_u32(len(labels)))
     for label in labels.labels:
         encoded = label.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
+        parts += [_u32(len(encoded)), encoded]
     _atomic_write(path, b"".join(parts))
 
 
@@ -105,6 +127,16 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def expect(self, record: bytes, what: str) -> None:
+        """Read exactly one u32 record the config fixes, and require its bytes."""
+        found = self.take(len(record))
+        if found != record:
+            u32s = f"<{len(record) // 4}I"
+            raise ShapeMismatchError(
+                f"{self.path}: {what} record {struct.unpack(u32s, found)} does not "
+                f"match config-implied {struct.unpack(u32s, record)}"
+            )
+
     def floats(self, *shape: int) -> np.ndarray:
         self._advance(math.prod(shape) * 8)
         values = np.empty(shape, dtype="<f8")
@@ -125,63 +157,30 @@ def _read_checkpoint(r: _Reader, path):
     if version != VERSION:
         raise UnsupportedVersionError(f"{path}: unsupported version {version}")
 
-    in_c, in_h, in_w, m1, m2, k, units, classes, dropout = _CONFIG.unpack(
-        r.take(_CONFIG.size)
-    )
+    in_c, in_h, in_w, *fields = _CONFIG.unpack(r.take(_CONFIG.size))
     try:
-        config = NetworkConfig(
-            input_shape=(in_c, in_h, in_w),
-            conv1_maps=m1,
-            conv2_maps=m2,
-            kernel_size=k,
-            hidden_units=units,
-            class_count=classes,
-            dropout_rate=dropout,
-        )
-        shapes = config.param_shapes()
-    except ValueError as exc:
+        config = NetworkConfig((in_c, in_h, in_w), **dict(zip(_CONFIG_FIELDS, fields)))
+        count, layers = _layout(config)
+    except (ValueError, struct.error) as exc:  # struct.error: a dim past u32
         raise ShapeMismatchError(f"{path}: config describes no valid network: {exc}")
 
-    layer_count = r.u32()
-    expected_count = sum(shape is not None for shape in shapes)
-    if layer_count != expected_count:
-        raise ShapeMismatchError(
-            f"{path}: config implies {expected_count} parametric layers, "
-            f"file declares {layer_count}"
-        )
+    r.expect(count, "layer count")
     states = []
-    for name, shape in zip(LAYER_NAMES, shapes):
-        if shape is None:
-            states.append(None)
-            continue
-        ndim = r.u32()
-        dims = tuple(r.u32() for _ in range(ndim))
-        if dims != shape:
-            raise ShapeMismatchError(
-                f"{path}: weight shape {dims} does not match config-implied "
-                f"{shape}"
-            )
-        weights = r.floats(*dims)
-        bias_count = r.u32()
-        if bias_count != shape[0]:
-            raise ShapeMismatchError(
-                f"{path}: bias count {bias_count} does not match config-implied "
-                f"{shape[0]}"
-            )
-        biases = r.floats(bias_count)
-        if not (np.isfinite(weights).all() and np.isfinite(biases).all()):
+    for name, layer in zip(LAYER_NAMES, layers):
+        arrays = []
+        for shape, record in layer:
+            r.expect(record, f"layer {name}")
+            arrays.append(r.floats(*shape))
+        if not all(np.isfinite(a).all() for a in arrays):
             raise CheckpointError(f"{path}: layer {name} has NaN or infinite values")
-        states.append(LayerState(weights=weights, biases=biases))
+        states.append(LayerState(*arrays) if arrays else None)
 
-    label_bytes = [r.take(r.u32()) for _ in range(r.u32())]
+    r.expect(_u32(config.class_count), "label count")
+    label_bytes = [r.take(r.u32()) for _ in range(config.class_count)]
     if r.pos != r.size:
         raise CheckpointError(f"{path}: {r.size - r.pos} trailing bytes")
     try:
         labels = LabelMap(tuple(b.decode("utf-8") for b in label_bytes))
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid label map: {exc}") from None
-    if len(labels) != classes:
-        raise ShapeMismatchError(
-            f"{path}: config has {classes} classes but {len(labels)} labels"
-        )
     return Network(config=config, states=states), labels

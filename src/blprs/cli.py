@@ -139,6 +139,8 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if not args.out:
+        raise ValueError("--out is empty; name the tree's directory, . for this one")
     labels = _read_labels_file(args.labels) if args.labels else LabelMap()
     spec = SynthSpec(
         per_class_count=args.per_class,

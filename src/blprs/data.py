@@ -142,10 +142,16 @@ def read_pnm(path) -> np.ndarray:
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
-    """Write a uint8 (H,W) array as a binary PGM."""
-    pixels = np.asarray(pixels, dtype=np.uint8)
-    if pixels.ndim != 2:
-        raise ValueError(f"expected a 2-D grayscale array, got shape {pixels.shape}")
+    """Write a non-empty (H,W) array of integers in 0..255 as a binary PGM;
+    any other array raises ValueError naming the path, and nothing is written."""
+    pixels = np.asarray(pixels)
+    if pixels.ndim != 2 or not pixels.size:
+        raise ValueError(f"{path}: expected a non-empty 2-D grayscale array, "
+                         f"got shape {pixels.shape}")
+    if pixels.dtype != np.uint8:
+        if not ((pixels >= 0) & (pixels <= 255) & (np.floor(pixels) == pixels)).all():
+            raise ValueError(f"{path}: pixel values must be integers in 0..255")
+        pixels = pixels.astype(np.uint8)
     h, w = pixels.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     _atomic_write(path, header + pixels.tobytes())

@@ -1,8 +1,11 @@
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blprs.checkpoint import (
     BadMagicError,
@@ -14,7 +17,9 @@ from blprs.checkpoint import (
     save_checkpoint,
 )
 from blprs.data import LabelMap
+from blprs.layers import LayerState
 from blprs.network import NetworkConfig, build_network, predict
+from test_training import _reduced_configs
 
 
 @pytest.fixture(scope="module")
@@ -22,25 +27,32 @@ def trained_net():
     return build_network(NetworkConfig(dropout_rate=0.5), seed=31)
 
 
-def _count_payload_floats(path):
-    """Independent walk of the file format, summing weight/bias elements."""
-    raw = path.read_bytes()
+def _walk(raw):
+    """Independent walk of the file format: the number of weight and bias
+    floats, and the offset of every u32 record the config fixes (the layer
+    count, each ndim and dim, each bias count, the label count)."""
     pos = 4 + 1 + 8 * 4 + 8  # magic, version, 8 config u32s, dropout f64
     (layer_count,) = struct.unpack_from("<I", raw, pos)
+    records, total = [pos], 0
     pos += 4
-    total = 0
     for _ in range(layer_count):
         (ndim,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        dims = struct.unpack_from(f"<{ndim}I", raw, pos)
-        pos += 4 * ndim
+        dims = struct.unpack_from(f"<{ndim}I", raw, pos + 4)
+        records += range(pos, pos + 4 * (ndim + 1), 4)
+        pos += 4 * (ndim + 1)
         n = int(np.prod(dims))
         total += n
         pos += 8 * n
         (bias_count,) = struct.unpack_from("<I", raw, pos)
+        records.append(pos)
         pos += 4 + 8 * bias_count
         total += bias_count
-    return total
+    return total, [*records, pos]
+
+
+def _count_payload_floats(path):
+    """Independent walk of the file format, summing weight/bias elements."""
+    return _walk(path.read_bytes())[0]
 
 
 class TestSave:
@@ -79,6 +91,25 @@ class TestSave:
         path = tmp_path / "t.blpr"
         save_checkpoint(trained_net, LabelMap(), path)
         assert [p.name for p in tmp_path.iterdir()] == ["t.blpr"]
+
+    @pytest.mark.parametrize("spoil, layer", [
+        (lambda states: states.pop(), None),
+        (lambda states: states.append(None), None),
+        (lambda states: setattr(states[4], "weights", np.zeros((300, 10))), "F1"),
+        (lambda states: setattr(states[4], "biases", np.zeros(299)), "F1"),
+        (lambda states: states.__setitem__(1, LayerState(np.zeros(1), np.zeros(1))), "S1"),
+        (lambda states: states.__setitem__(2, None), "C2"),
+    ], ids=["5-states", "7-states", "F1-weights-300x10", "F1-299-biases",
+            "state-in-pooling-slot", "None-in-weighted-slot"])
+    def test_refuses_a_network_its_config_does_not_describe(self, tmp_path, spoil,
+                                                            layer):
+        net = build_network(NetworkConfig(), seed=3)
+        spoil(net.states)
+        path = tmp_path / "r.blpr"
+        at_fault = "" if layer is None else f"layer {layer} "
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"{path}: {at_fault}")):
+            save_checkpoint(net, LabelMap(), path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLoad:
@@ -199,6 +230,18 @@ class TestLoad:
                            match=re.escape(f"{path}: config describes no valid network")):
             load_checkpoint(path)
 
+    def test_config_too_large_for_its_records_names_the_file(self, trained_net,
+                                                             tmp_path):
+        # A 2**20-pixel side gives F1 12 * 262141**2 inputs, past a u32 dim.
+        path = tmp_path / "l.blpr"
+        save_checkpoint(trained_net, LabelMap(), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<2I", raw, 5 + 4, 2**20, 2**20)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ShapeMismatchError,
+                           match=re.escape(f"{path}: config describes no valid network")):
+            load_checkpoint(path)
+
     def test_trailing_garbage(self, trained_net, tmp_path):
         path = tmp_path / "tg.blpr"
         save_checkpoint(trained_net, LabelMap(), path)
@@ -280,3 +323,33 @@ class TestLoad:
         for k in kinds:
             assert issubclass(k, CheckpointError)
             assert issubclass(k, ValueError)
+
+
+# About 1.6 s on a 2-CPU host.
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(config=_reduced_configs().map(lambda c: replace(c, class_count=16)),
+       seed=st.integers(0, 2**16))
+def test_records_round_trip_and_refuse_every_bit_flip(tmp_path_factory, config, seed):
+    net = build_network(config, seed)
+    root = tmp_path_factory.mktemp("records")
+    first, second = root / "a.blpr", root / "b.blpr"
+    save_checkpoint(net, LabelMap(), first)
+    loaded, labels = load_checkpoint(first)
+    save_checkpoint(loaded, labels, second)
+    clean = first.read_bytes()
+    assert second.read_bytes() == clean
+    for a, b in zip(net.states, loaded.states, strict=True):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.biases, b.biases)
+    records = _walk(clean)[1]
+    assert len(records) == 1 + (5 + 5 + 3 + 3) + 4 + 1
+    for pos in records:
+        for bit in range(32):
+            raw = bytearray(clean)
+            raw[pos + bit // 8] ^= 1 << bit % 8
+            second.write_bytes(bytes(raw))
+            with pytest.raises((ShapeMismatchError, TruncatedCheckpointError),
+                               match=re.escape(f"{second}: ")):
+                load_checkpoint(second)

@@ -70,6 +70,13 @@ class TestSynth:
         assert "got 2" in err
         assert not out.exists()
 
+    def test_empty_out_fails_before_writing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--out", "", "--per-class", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(r"error: --out [^\n]*\n", err), err
+        assert list(tmp_path.iterdir()) == []
+
     def test_tree_matches_the_golden(self, tmp_path):
         # Digest computed when every image was warped on its own and every
         # class directory was created once per image.
@@ -504,7 +511,7 @@ def _arguments(paths):
     inspect = _flags(convention=([_ABSENT, "paper", "standard"], [])).map(
         lambda a: ["inspect", *a])
     synth = _flags(
-        out=(["ds", "nodir/ds", "isdir", ""], ["afile", "afile/ds"]),
+        out=(["ds", "nodir/ds", "isdir", "."], ["afile", "afile/ds", ""]),
         per_class=(["1", "2"], ["0", "-1", f"-{_HUGE}"]),
         seed=([_ABSENT, "0", _HUGE], ["-1", f"-{_HUGE}"]),
         rotation=([_ABSENT, "0", "-0.0", "15", "1e300"], ["-1", "nan", "inf", "1e308"]),

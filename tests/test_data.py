@@ -189,6 +189,25 @@ class TestPnmIo:
         write_pgm(path, pixels)
         assert np.array_equal(read_pnm(path), pixels)
 
+    @pytest.mark.parametrize("pixels", [
+        np.full((2, 2), 300),
+        [[-1.0, 0.5], [255.9, 256]],
+        [[np.nan, 0.0]],
+        np.zeros((0, 5), dtype=np.uint8),
+    ], ids=["300", "fractions-and-out-of-range", "nan", "empty"])
+    def test_write_refuses_what_read_cannot_give_back(self, tmp_path, pixels):
+        path = tmp_path / "img.pgm"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            write_pgm(path, pixels)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_integer_valued_arrays_write_as_their_bytes(self, tmp_path):
+        pixels = np.arange(32 * 32).reshape(32, 32) % 256
+        for dtype in (np.int64, np.float64, np.uint8):
+            write_pgm(tmp_path / f"{np.dtype(dtype).name}.pgm", pixels.astype(dtype))
+        payloads = {p.read_bytes() for p in tmp_path.iterdir()}
+        assert payloads == {b"P5\n32 32\n255\n" + pixels.astype(np.uint8).tobytes()}
+
     def test_ppm_read(self, tmp_path):
         pixels = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
         path = tmp_path / "img.ppm"
