@@ -12,10 +12,11 @@ IEEE-754 binary64):
 
 The config fixes every record but the floats and the label text: loading
 checks each, and ``save_checkpoint`` refuses, leaving no file, a network
-whose states do not fit the config. Identical networks serialize to
-identical bytes, so a load(save(net)) round-trip reproduces every
-prediction bit-exactly. Loading rejects NaN or +/-inf weights or biases.
-Each error names the file, and the layer at fault.
+whose config describes no network or whose states do not fit it.
+Identical networks serialize to identical bytes, so a load(save(net))
+round-trip reproduces every prediction bit-exactly. Loading rejects NaN
+or +/-inf weights or biases. Each error names the file, and the layer at
+fault.
 """
 from __future__ import annotations
 
@@ -61,30 +62,34 @@ def _u32(*values: int) -> bytes:
     return struct.pack(f"<{len(values)}I", *values)
 
 
-def _layout(config: NetworkConfig) -> tuple[bytes, list]:
-    """The layer-count record, and per layer each array's shape and the u32
-    record before its floats: ndim then the dims for the weights, the count
-    for the biases. A pooling layer has no arrays."""
-    layers = [[] if shape is None else [(shape, _u32(len(shape), *shape)),
-                                        (shape[:1], _u32(shape[0]))]
-              for shape in config.param_shapes()]
-    return _u32(sum(map(bool, layers))), layers
+def _layout(path, input_shape, fields) -> tuple:
+    """The config of this input shape and ``_CONFIG_FIELDS`` values, its
+    record, the layer-count record, and per layer each array's shape and the
+    u32 record before its floats: ndim then the dims for the weights, the
+    count for the biases; none for a pooling layer. A config that describes
+    no network raises ShapeMismatchError naming the file."""
+    try:
+        config = NetworkConfig(tuple(input_shape), **dict(zip(_CONFIG_FIELDS, fields)))
+        layers = [[] if shape is None else [(shape, _u32(len(shape), *shape)),
+                                            (shape[:1], _u32(shape[0]))]
+                  for shape in config.param_shapes()]
+        record = _CONFIG.pack(*input_shape, *fields)
+    except (ValueError, struct.error) as exc:  # struct.error: a value past u32
+        raise ShapeMismatchError(f"{path}: config describes no valid network: {exc}")
+    return config, record, _u32(sum(map(bool, layers))), layers
 
 
 def save_checkpoint(net: Network, labels: LabelMap, path) -> None:
     """Serialize network + labels; writes via a temp file, renamed on success."""
     cfg = net.config
-    count, layers = _layout(cfg)
+    _, record, count, layers = _layout(
+        path, cfg.input_shape, [getattr(cfg, f) for f in _CONFIG_FIELDS]
+    )
     if len(net.states) != len(layers):
         raise ShapeMismatchError(
             f"{path}: config has {len(layers)} layers, network {len(net.states)} states"
         )
-    parts = [
-        MAGIC,
-        bytes([VERSION]),
-        _CONFIG.pack(*cfg.input_shape, *(getattr(cfg, f) for f in _CONFIG_FIELDS)),
-        count,
-    ]
+    parts = [MAGIC, bytes([VERSION]), record, count]
     for name, layer, state in zip(LAYER_NAMES, layers, net.states):
         arrays = [] if state is None else [
             np.asarray(a, dtype="<f8") for a in (state.weights, state.biases)
@@ -158,11 +163,7 @@ def _read_checkpoint(r: _Reader, path):
         raise UnsupportedVersionError(f"{path}: unsupported version {version}")
 
     in_c, in_h, in_w, *fields = _CONFIG.unpack(r.take(_CONFIG.size))
-    try:
-        config = NetworkConfig((in_c, in_h, in_w), **dict(zip(_CONFIG_FIELDS, fields)))
-        count, layers = _layout(config)
-    except (ValueError, struct.error) as exc:  # struct.error: a dim past u32
-        raise ShapeMismatchError(f"{path}: config describes no valid network: {exc}")
+    config, _, count, layers = _layout(path, (in_c, in_h, in_w), fields)
 
     r.expect(count, "layer count")
     states = []

@@ -54,8 +54,8 @@ def export_curve_csv(report: TrainingReport, path) -> None:
 
 
 def _read_labels_file(path) -> LabelMap:
-    try:  # UnicodeDecodeError is a ValueError too
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:  # UnicodeDecodeError is a ValueError too; utf-8-sig drops a leading BOM
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
         return LabelMap(tuple(line.strip() for line in lines if line.strip()))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -142,15 +142,7 @@ def _cmd_synth(args) -> int:
     if not args.out:
         raise ValueError("--out is empty; name the tree's directory, . for this one")
     labels = _read_labels_file(args.labels) if args.labels else LabelMap()
-    spec = SynthSpec(
-        per_class_count=args.per_class,
-        rotation_range_deg=(-args.rotation, args.rotation),
-        scale_range=(args.scale_low, args.scale_high),
-        translate_range_px=(-args.translate, args.translate),
-        shear_range=(-args.shear, args.shear),
-        noise_std=args.noise,
-        seed=args.seed,
-    )
+    spec = SynthSpec(per_class_count=args.per_class, seed=args.seed)
     dataset = generate_synthetic(spec, labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -207,14 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--per-class", type=int, default=100)
     p.add_argument("--seed", type=int, default=SynthSpec.seed)
-    p.add_argument("--rotation", type=float,
-                   default=SynthSpec.rotation_range_deg[1], help="max degrees")
-    p.add_argument("--scale-low", type=float, default=SynthSpec.scale_range[0])
-    p.add_argument("--scale-high", type=float, default=SynthSpec.scale_range[1])
-    p.add_argument("--translate", type=float,
-                   default=SynthSpec.translate_range_px[1], help="max pixels")
-    p.add_argument("--shear", type=float, default=SynthSpec.shear_range[1])
-    p.add_argument("--noise", type=float, default=SynthSpec.noise_std)
     p.add_argument("--labels", help="16-line UTF-8 label file overriding defaults")
     p.set_defaults(handler=_cmd_synth)
     return parser

@@ -73,6 +73,17 @@ def _check_train_fraction(train_fraction: float) -> None:
         raise ValueError(f"train fraction must be in (0,1), got {train_fraction}")
 
 
+def _check_classes(net: Network, ds: Dataset) -> None:
+    """Raise unless every sample's class is one of the network's classes."""
+    k = net.config.class_count
+    for s in ds.samples:
+        if not 0 <= s.class_index < k:
+            raise ValueError(
+                f"sample class index {s.class_index} is outside the network's "
+                f"{k} classes"
+            )
+
+
 def split_dataset(ds: Dataset, train_fraction: float, seed: int):
     """Stratified split: per populated class, shuffle and take
     round-half-up(n * fraction) samples for training."""
@@ -133,6 +144,7 @@ def train(net: Network, train_set: Dataset, config: TrainConfig):
         raise ValueError("training set is empty")
     if config.batch_size > n:
         raise ValueError(f"batch size {config.batch_size} exceeds dataset size {n}")
+    _check_classes(net, train_set)
     classes = net.config.class_count
     targets = np.stack([one_hot(s.class_index, classes) for s in train_set.samples])
     rng = np.random.default_rng(config.seed)
@@ -196,13 +208,8 @@ def evaluate(net: Network, test_set: Dataset) -> EvalReport:
     """Predict every sample; confusion rows are true classes, columns predicted."""
     if len(test_set) == 0:
         raise ValueError("test set is empty")
+    _check_classes(net, test_set)
     k = net.config.class_count
-    for s in test_set.samples:
-        if not 0 <= s.class_index < k:
-            raise ValueError(
-                f"sample class index {s.class_index} is outside the network's "
-                f"{k} classes"
-            )
     confusion = np.zeros((k, k), dtype=np.int64)
     for s in test_set.samples:
         predicted, _ = predict(net, s.image)

@@ -160,20 +160,20 @@ def _affine_warp_reference(img, angle_deg, scale, shear, tx_px, ty_px):
 
 def generate_synthetic_reference(spec, base_glyph, class_count=16):
     """``generate_synthetic`` as it was when every image was warped on its
-    own: a list of ((1,32,32) image, class index) pairs."""
+    own, with its recipe's ranges and noise written out: a list of
+    ((1,32,32) image, class index) pairs."""
     rng = np.random.default_rng(spec.seed)
     samples = []
     for class_index in range(class_count):
         base = base_glyph(class_index)
         for _ in range(spec.per_class_count):
-            angle = rng.uniform(*spec.rotation_range_deg)
-            scale = rng.uniform(*spec.scale_range)
-            tx = rng.uniform(*spec.translate_range_px)
-            ty = rng.uniform(*spec.translate_range_px)
-            shear = rng.uniform(*spec.shear_range)
+            angle = rng.uniform(-15.0, 15.0)
+            scale = rng.uniform(0.85, 1.15)
+            tx = rng.uniform(-3.0, 3.0)
+            ty = rng.uniform(-3.0, 3.0)
+            shear = rng.uniform(-0.15, 0.15)
             img = _affine_warp_reference(base, angle, scale, shear, tx, ty)
-            if spec.noise_std > 0:
-                img = img + rng.normal(0.0, spec.noise_std, img.shape)
+            img = img + rng.normal(0.0, 0.05, img.shape)
             samples.append((np.clip(img, 0.0, 1.0)[None, :, :], class_index))
     return samples
 

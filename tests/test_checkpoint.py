@@ -18,7 +18,7 @@ from blprs.checkpoint import (
 )
 from blprs.data import LabelMap
 from blprs.layers import LayerState
-from blprs.network import NetworkConfig, build_network, predict
+from blprs.network import Network, NetworkConfig, build_network, predict
 from test_training import _reduced_configs
 
 
@@ -108,6 +108,22 @@ class TestSave:
         path = tmp_path / "r.blpr"
         at_fault = "" if layer is None else f"layer {layer} "
         with pytest.raises(ShapeMismatchError, match=re.escape(f"{path}: {at_fault}")):
+            save_checkpoint(net, LabelMap(), path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fields", [
+        {"input_shape": (1, 3, 3)},  # fits no 5x5 kernel
+        {"input_shape": (1, 2**20, 2**20)},  # gives F1 a dim past u32
+        {"input_shape": (1, 34, 34)},  # an odd map reaches the second pool
+        {"input_shape": (0, 32, 32)},
+        {"kernel_size": 4},  # an odd map reaches the first pool
+        {"hidden_units": 2**32},  # past the config record's u32
+    ], ids=["side3", "side2**20", "side34", "no-maps", "kernel4", "hidden2**32"])
+    def test_config_that_describes_no_network_names_the_file(self, tmp_path, fields):
+        net = Network(NetworkConfig(**fields), [None] * 6)
+        path = tmp_path / "c.blpr"
+        with pytest.raises(ShapeMismatchError,
+                           match=re.escape(f"{path}: config describes no valid network")):
             save_checkpoint(net, LabelMap(), path)
         assert list(tmp_path.iterdir()) == []
 

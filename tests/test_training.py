@@ -486,6 +486,15 @@ class TestEvaluate:
         assert calls == []
 
 
+@pytest.mark.parametrize("classes", [1, 4, 15])
+def test_train_names_a_class_the_network_cannot_output_as_evaluate_does(classes):
+    net = build_network(NetworkConfig(class_count=classes), 1)
+    ds = generate_synthetic(SynthSpec(per_class_count=1, seed=1), LabelMap())
+    with pytest.raises(ValueError, match=re.escape(
+            f"sample class index {classes} is outside the network's {classes} classes")):
+        train(net, ds, TrainConfig(epochs=1))
+
+
 @st.composite
 def _reduced_configs(draw):
     """Small networks whose every pooled map stays even: a final 1 or 2 px
